@@ -1,0 +1,331 @@
+"""Building numbers, normalizing constants, and exact cylinder probabilities.
+
+The building number of a word x of length n is the inversion-generating
+polynomial over the permutations that build x properly:
+
+    B_t(x) = sum over sigma in S_n of 1[sigma builds x] * t^inv(sigma).
+
+It vanishes iff x is non-proper, satisfies B_t(empty) = 1, and obeys the
+deletion recurrence
+
+    B_t(x) = 1[x proper] * sum_{i=1}^{n} t^(n-i) B_t(x with slot i removed),
+
+which is how it is computed here (with memoization on the color pattern,
+since B_t depends on a word only through its equality pattern).  Cylinder
+probabilities of the stationary coloring are B_t(x) / Z(t, q, n) where
+
+    Z(t, q, n) = prod_{j=1}^{n} (q [j]_t - [2]_t [j-1]_t)
+
+sums B_t over all q^n words of length n.  When (q, k, t) satisfies the
+tuning equation, k-dependence is an exact polynomial statement: the defect
+returned by k_dependence_defect reduces to zero modulo the tuning
+polynomial.
+
+All values are immutable and the pattern memo is only ever extended with
+identical entries, so concurrent callers are safe (a race costs at most a
+recomputation).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+from fractions import Fraction
+
+from . import perm as perm_mod
+from .tpoly import (ONE, RatPoly, T, ZERO, AlgebraicT, NoSolutionError,
+                    interval_enclosure, poly_remainder, t_binomial,
+                    t_factorial, t_int, tuning_poly)
+from .words import Word
+
+#: Longest word accepted by the brute-force building-number oracle.
+BRUTE_WORD_CAP = 7
+
+_memo: dict[tuple[int, ...], RatPoly] = {}
+_memo_alt: dict[tuple[int, ...], RatPoly] = {}
+
+
+def clear_caches() -> None:
+    _memo.clear()
+    _memo_alt.clear()
+
+
+def building_number(x: Word) -> RatPoly:
+    """Exact building number of x, via the deletion recurrence.
+
+    Zero polynomial iff x is non-proper; 1 for the empty word.
+    """
+    return _building_pattern(x.pattern())
+
+
+def _building_pattern(pat: tuple[int, ...]) -> RatPoly:
+    cached = _memo.get(pat)
+    if cached is not None:
+        return cached
+    n = len(pat)
+    if n == 0:
+        result = ONE
+    elif any(a == b for a, b in zip(pat, pat[1:])):
+        result = ZERO
+    else:
+        coeffs = [Fraction(0)] * (n * (n - 1) // 2 + 1)
+        for i in range(n):
+            shorter = pat[:i] + pat[i + 1:]
+            sub = _building_pattern(_canonical(shorter))
+            shift = n - 1 - i
+            for d, c in enumerate(sub.coeffs):
+                if d + shift >= len(coeffs):
+                    coeffs.extend([Fraction(0)] * (d + shift + 1 - len(coeffs)))
+                coeffs[d + shift] += c
+        result = RatPoly(tuple(coeffs))
+    _memo[pat] = result
+    return result
+
+
+def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
+    seen: dict[int, int] = {}
+    out = []
+    for c in seq:
+        if c not in seen:
+            seen[c] = len(seen) + 1
+        out.append(seen[c])
+    return tuple(out)
+
+
+def building_number_alt(x: Word) -> RatPoly:
+    """Independent evaluation through the signed variant of the recurrence:
+
+        B(x) = sum_i t^(n-i) B(x_i^) - [2]_t sum_{j>=2} 1[x_{j-1}=x_j] t^(n-j) B(x_j^)
+
+    where y^ denotes deletion.  No properness test is consulted; the
+    correction terms do the cancelling.  Kept separate from building_number
+    as a cross-check.
+    """
+    return _building_alt(x.pattern())
+
+
+def _building_alt(pat: tuple[int, ...]) -> RatPoly:
+    cached = _memo_alt.get(pat)
+    if cached is not None:
+        return cached
+    n = len(pat)
+    if n == 0:
+        result = ONE
+    else:
+        total = ZERO
+        for i in range(n):
+            sub = _building_alt(_canonical(pat[:i] + pat[i + 1:]))
+            total = total + T ** (n - 1 - i) * sub
+        for j in range(1, n):
+            if pat[j - 1] == pat[j]:
+                sub = _building_alt(_canonical(pat[:j] + pat[j + 1:]))
+                total = total - t_int(2) * T ** (n - 1 - j) * sub
+        result = total
+    _memo_alt[pat] = result
+    return result
+
+
+def building_number_brute(x: Word, cap: int = BRUTE_WORD_CAP) -> RatPoly:
+    """Definition-level oracle: enumerate all permutations of the index
+    interval, test the proper-building condition, and sum t^inversions."""
+    n = len(x)
+    if n > cap:
+        raise ValueError(f"word length {n} above brute-force cap {cap}")
+    coeffs = [Fraction(0)] * (n * (n - 1) // 2 + 1)
+    for sigma in perm_mod.all_perms(x.start, n, cap=max(cap, n)):
+        if perm_mod.is_proper_building(sigma, x):
+            coeffs[sigma.inv_count()] += 1
+    return RatPoly(tuple(coeffs))
+
+
+def normalizer(q: int, n: int) -> RatPoly:
+    """Z(t, q, n) = prod_{j=1}^{n} (q [j]_t - [2]_t [j-1]_t); equals the sum
+    of building numbers over all q^n words of length n."""
+    if q < 3:
+        raise ValueError("normalizer needs q >= 3")
+    if n < 0:
+        raise ValueError("normalizer needs n >= 0")
+    out = ONE
+    for j in range(1, n + 1):
+        out = out * (q * t_int(j) - t_int(2) * t_int(j - 1))
+    return out
+
+
+def consistency_factor(q: int, n: int) -> RatPoly:
+    """The one-step extension factor: summing B over one appended character
+    multiplies the building number by q [n+1]_t - [2]_t [n]_t."""
+    return q * t_int(n + 1) - t_int(2) * t_int(n)
+
+
+@dataclasses.dataclass(frozen=True)
+class CylinderProb:
+    """Exact cylinder probability as a ratio of polynomials in t.
+
+    numerator / denominator evaluated at the tuned parameter (when `at` is
+    set) or at any explicit rational t.
+    """
+
+    numerator: RatPoly
+    denominator: RatPoly
+    at: AlgebraicT | None = None
+
+    def __post_init__(self):
+        if self.denominator.is_zero():
+            raise ValueError("zero denominator")
+        if self.at is not None:
+            dlo, dhi = interval_enclosure(self.denominator, self.at.lo, self.at.hi)
+            if dlo <= 0 <= dhi:
+                raise ValueError("denominator not certified nonzero on the interval")
+
+    def value_at(self, t: Fraction) -> Fraction:
+        return self.numerator.evaluate(t) / self.denominator.evaluate(t)
+
+    def midpoint_value(self) -> Fraction:
+        if self.at is None:
+            raise ValueError("no tuned parameter attached")
+        return self.value_at(self.at.midpoint)
+
+    def to_float(self) -> float:
+        return float(self.midpoint_value())
+
+    def equals_fraction(self, value: Fraction,
+                        tolerance: Fraction = Fraction(1, 10**30)) -> bool:
+        """Certify numerator/denominator == value at the tuned parameter.
+
+        First reduces numerator * value.den - denominator * value.num modulo
+        the tuning polynomial; a zero remainder is an exact certificate.
+        Otherwise the difference is boxed on a refined isolating interval and
+        must straddle zero within `tolerance`.
+        """
+        if self.at is None:
+            raise ValueError("no tuned parameter attached")
+        value = Fraction(value)
+        diff = self.numerator * value.denominator - self.denominator * value.numerator
+        if poly_remainder(diff, self.at.poly).is_zero():
+            return True
+        tight = self.at.refine(tolerance / max(1, _coeff_scale(diff)))
+        lo, hi = interval_enclosure(diff, tight.lo, tight.hi)
+        return lo <= 0 <= hi and hi - lo < tolerance
+
+
+def _coeff_scale(p: RatPoly) -> int:
+    return int(sum(abs(c) for c in p.coeffs)) + 1
+
+
+def cylinder_prob(x: Word, tq: AlgebraicT | Fraction) -> CylinderProb:
+    """P(window pattern = x) = B_t(x) / Z(t, q, n) for the stationary coloring."""
+    if isinstance(tq, AlgebraicT):
+        if x.alphabet != tq.q:
+            raise ValueError(f"alphabet {x.alphabet} does not match q={tq.q}")
+        return CylinderProb(building_number(x), normalizer(tq.q, len(x)), tq)
+    Fraction(tq)  # reject non-rational input early
+    return CylinderProb(building_number(x), normalizer(x.alphabet, len(x)), None)
+
+
+def cylinder_masses(q: int, length: int, tq: AlgebraicT | Fraction) -> dict[tuple[int, ...], Fraction]:
+    """Exact mass of every proper word of the given length, keyed by chars.
+
+    Masses sum to 1 at any parameter value, tuned or not.
+    """
+    t = tq.midpoint if isinstance(tq, AlgebraicT) else Fraction(tq)
+    z = normalizer(q, length).evaluate(t)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for chars in itertools.product(range(1, q + 1), repeat=length):
+        if any(a == b for a, b in zip(chars, chars[1:])):
+            continue
+        w = Word(1, chars, q)
+        out[chars] = building_number(w).evaluate(t) / z
+    return out
+
+
+def star_sum(x: Word, y: Word, q: int, k: int) -> RatPoly:
+    """Sum of building numbers of x a y over all q^k middle words a."""
+    total = ZERO
+    for mid in itertools.product(range(1, q + 1), repeat=k):
+        joined = Word(1, x.chars + mid + y.chars, q)
+        total = total + building_number(joined)
+    return total
+
+
+def k_dependence_defect(x: Word, y: Word, q: int, k: int) -> RatPoly:
+    """Polynomial whose vanishing at the tuned parameter expresses
+    k-dependence of the coloring:
+
+        E(t) = [k+1]_t^k * B_t(x *^k y)
+             - [k]!_t * q^k * binom(m+n+2k, m+k)_t * B_t(x) * B_t(y),
+
+    with m = |x| and n = |y|.  Callers certify
+    poly_remainder(E, tuning_poly(q, k)) == 0, falling back to an exact
+    interval enclosure around the isolated root when the remainder is not
+    identically zero.
+    """
+    m, n = len(x), len(y)
+    lhs = t_int(k + 1) ** k * star_sum(x, y, q, k)
+    rhs = (t_factorial(k) * q**k * t_binomial(m + n + 2 * k, m + k)
+           * building_number(x) * building_number(y))
+    return lhs - rhs
+
+
+def defect_vanishes(defect: RatPoly, tq: AlgebraicT,
+                    tolerance: Fraction = Fraction(1, 10**30)) -> bool:
+    """Certify that a defect polynomial vanishes at the tuned parameter.
+
+    Zero remainder modulo the tuning polynomial is an exact proof; otherwise
+    the defect is evaluated with exact rational interval arithmetic on a
+    refined isolating interval and must straddle zero with width below
+    `tolerance`.
+    """
+    if poly_remainder(defect, tq.poly).is_zero():
+        return True
+    if defect.is_zero():
+        return True
+    tight = tq.refine(tolerance / (_coeff_scale(defect) * (defect.degree + 1)))
+    lo, hi = interval_enclosure(defect, tight.lo, tight.hi)
+    return lo <= 0 <= hi and hi - lo < tolerance
+
+
+def z_closed_form_defect(q: int, k: int, n: int) -> RatPoly:
+    """Defect of the tuned closed form of the normalizing constant:
+
+        [k+1]_t^n * Z(t, q, n) - [n]!_t * q^n * binom(k+n, k)_t,
+
+    reduced modulo the tuning polynomial by callers and asserted zero.
+    """
+    if q * k <= 2 * (k + 1):
+        raise NoSolutionError(
+            f"closed form needs an admissible pair: q={q}, k={k} has qk<=2(k+1)")
+    return (t_int(k + 1) ** n * normalizer(q, n)
+            - t_factorial(n) * q**n * t_binomial(k + n, k))
+
+
+def converse_scan(q: int, t: Fraction | AlgebraicT, k_max: int) -> list[int]:
+    """Dependence orders k' <= k_max whose tuning factor
+
+        q t^k' [k']_t - t^(k'-1) [2]_t [k'+1]_t
+
+    vanishes at t.  For an exact rational t the factors are evaluated
+    exactly; for an isolated algebraic t a factor counts as vanishing iff it
+    changes sign across the (refined) isolating interval.  At a tuned
+    parameter the result is exactly {k}; at most one order can appear for
+    any (q, t).
+    """
+    if k_max < 1:
+        return []
+    hits = []
+    if isinstance(t, AlgebraicT):
+        box = t.refine(min(t.precision, Fraction(1, 10**30)))
+        for kk in range(1, k_max + 1):
+            factor = tuning_poly(q, kk)
+            slo = factor.evaluate(box.lo)
+            shi = factor.evaluate(box.hi)
+            if slo == 0 or shi == 0 or (slo < 0) != (shi < 0):
+                hits.append(kk)
+        return hits
+    t = Fraction(t)
+    if not 0 < t < 1:
+        raise ValueError("scan needs 0 < t < 1")
+    for kk in range(1, k_max + 1):
+        # The t^(k'-1) prefactor never vanishes on (0, 1).
+        if tuning_poly(q, kk).evaluate(t) == 0:
+            hits.append(kk)
+    return hits

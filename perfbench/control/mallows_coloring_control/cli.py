@@ -1,0 +1,499 @@
+"""Command-line front end.
+
+Commands map one-to-one onto the verification families: `solve-tuning`
+(root isolation), `exact` (cylinder probabilities), `sample` (the three
+pipelines), `verify exact` (polynomial identities, no randomness),
+`verify stat` (sampler law checks), and `radius` (coding-radius tails).
+JSON output follows the envelope {command, params, seed, results, version}
+validated by schemas/result-v1.json; identical configuration including the
+seed yields byte-identical output.  Exit codes: 0 pass, 1 verification
+failure, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import decimal
+import io
+import itertools
+import json
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+
+from . import building, dist, perm, sampler, tpoly, verify
+from .words import Word
+
+VERSION = "1"
+
+_PIPELINES = {
+    "painting": sampler.painting_sample,
+    "lehmer": sampler.lehmer_pipeline_sample,
+    "ffiid": sampler.ffiid_sample,
+}
+
+
+def decimal_str(value: Fraction, digits: int = 12) -> str:
+    """Round a rational to `digits` significant decimal digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        return str(d)
+
+
+def _poly_strings(p: tpoly.RatPoly) -> list[str]:
+    return [str(c) for c in p.coeffs]
+
+
+def _envelope(command: str, params: dict, seed: int | None, results: dict) -> dict:
+    return {"command": command, "params": params, "seed": seed,
+            "results": results, "version": VERSION}
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _require_admissible(parser: argparse.ArgumentParser, q: int, k: int) -> None:
+    if q * k <= 2 * (k + 1):
+        parser.error(f"inadmissible parameters q={q}, k={k}: requires qk>2(k+1)")
+
+
+# ---------------------------------------------------------------------------
+# solve-tuning
+
+
+def _cmd_solve_tuning(args, parser) -> int:
+    _require_admissible(parser, args.q, args.k)
+    root = tpoly.solve_tuning(args.q, args.k, Fraction(args.precision))
+    results = {
+        "polynomial": _poly_strings(root.poly),
+        "interval": {"lo": str(root.lo), "hi": str(root.hi)},
+        "midpoint": decimal_str(root.midpoint),
+        "midpoint_fraction": str(root.midpoint),
+        "float": root.to_float(),
+    }
+    _emit_json(_envelope("solve-tuning",
+                         {"q": args.q, "k": args.k, "precision": args.precision},
+                         None, results), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# exact
+
+
+def _constant_ratio(num: tpoly.RatPoly, den: tpoly.RatPoly,
+                    p: tpoly.RatPoly) -> Fraction | None:
+    """c with num == c * den modulo p, when such a constant exists."""
+    nr = tpoly.poly_remainder(num, p)
+    dr = tpoly.poly_remainder(den, p)
+    if nr.is_zero():
+        return Fraction(0)
+    if dr.is_zero() or nr.degree != dr.degree:
+        return None
+    c = nr.coeffs[-1] / dr.coeffs[-1]
+    return c if (nr - dr * c).is_zero() else None
+
+
+def _cmd_exact(args, parser) -> int:
+    _require_admissible(parser, args.q, args.k)
+    try:
+        word = Word.from_string(args.word, args.q)
+    except ValueError as err:
+        parser.error(str(err))
+    root = tpoly.solve_tuning(args.q, args.k, Fraction(args.precision))
+    prob = building.cylinder_prob(word, root)
+    exact = _constant_ratio(prob.numerator, prob.denominator, root.poly)
+    results = {
+        "word": list(word.chars),
+        "numerator": _poly_strings(prob.numerator),
+        "denominator": _poly_strings(prob.denominator),
+        "decimal": decimal_str(prob.midpoint_value()),
+        "exact_fraction": str(exact) if exact is not None else None,
+    }
+    _emit_json(_envelope("exact", {"q": args.q, "k": args.k, "word": args.word},
+                         None, results), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# sample
+
+
+def _cmd_sample(args, parser) -> int:
+    _require_admissible(parser, args.q, args.k)
+    sample = _PIPELINES[args.method](args.q, args.k, args.length, args.seed)
+    if args.format == "csv":
+        buf = io.StringIO()
+        columns = ["index", "color"]
+        if sample.radii is not None:
+            columns.append("radius")
+        if sample.endpoint_mask is not None:
+            columns.append("endpoint")
+        buf.write(",".join(columns) + "\n")
+        for i in range(len(sample)):
+            row = [str(sample.start + i), str(int(sample.colors[i]))]
+            if sample.radii is not None:
+                row.append(str(int(sample.radii[i])))
+            if sample.endpoint_mask is not None:
+                row.append(str(int(sample.endpoint_mask[i])))
+            buf.write(",".join(row) + "\n")
+        _emit(buf.getvalue(), args.out)
+        return 0
+    results = {
+        "start": sample.start,
+        "colors": [int(c) for c in sample.colors],
+        "t": sample.params.t,
+        "s": sample.params.s,
+    }
+    if sample.radii is not None:
+        results["radii"] = [int(r) for r in sample.radii]
+    if sample.endpoint_mask is not None:
+        results["endpoints"] = [int(b) for b in sample.endpoint_mask]
+    params = {"q": args.q, "k": args.k, "length": args.length,
+              "method": args.method}
+    _emit_json(_envelope("sample", params, args.seed, results), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# verify exact
+
+
+def _exact_checks(level: str):
+    """Yield (name, callable) pairs; each callable returns True on pass.
+
+    Everything here is deterministic polynomial or integer arithmetic; no
+    random numbers are drawn.
+    """
+    word_len = 4 if level == "quick" else 6
+    pair_len = 2 if level == "quick" else 4
+
+    def oracle_equivalence():
+        for q in (3, 4, 5):
+            for n in range(word_len + 1):
+                for chars in itertools.product(range(1, q + 1), repeat=n):
+                    w = Word(1, chars, q)
+                    if building.building_number(w) != building.building_number_brute(w):
+                        return False
+        return True
+
+    def consistency():
+        for q in (3, 4, 5):
+            for n in range(min(word_len, 5) + 1):
+                for chars in itertools.product(range(1, q + 1), repeat=n):
+                    w = Word(1, chars, q)
+                    total = tpoly.ZERO
+                    for a in range(1, q + 1):
+                        total = total + building.building_number(w.append(a))
+                    expect = building.consistency_factor(q, n) * building.building_number(w)
+                    if total != expect:
+                        return False
+        return True
+
+    def reversibility():
+        q = 4
+        for n in range(word_len + 1):
+            for chars in itertools.product(range(1, q + 1), repeat=n):
+                w = Word(1, chars, q)
+                if building.building_number(w) != building.building_number(w.reverse()):
+                    return False
+        return True
+
+    def tuning_roots():
+        r51 = tpoly.solve_tuning(5, 1)
+        r42 = tpoly.solve_tuning(4, 2)
+        # (3 - sqrt 5)/2 to 35 decimal places via integer square root
+        scale = 10**35
+        ref = Fraction(3 * scale - math.isqrt(5 * scale * scale), 2 * scale)
+        ok = abs(r51.midpoint - ref) < Fraction(2, 10**30)
+        ok = ok and abs(r42.midpoint - ref) < Fraction(2, 10**30)
+        ok = ok and tpoly.tuning_poly(4, 2) == tpoly.t_int(2) * tpoly.tuning_poly(5, 1)
+        r33 = tpoly.solve_tuning(3, 3)
+        ok = ok and abs(r33.to_float() - 0.5806922) < 1e-6
+        return ok
+
+    def cylinder_values():
+        root = tpoly.solve_tuning(5, 1)
+        checks = [("12", Fraction(1, 20)), ("121", Fraction(1, 100)),
+                  ("123", Fraction(1, 75))]
+        return all(building.cylinder_prob(Word.from_string(w, 5), root)
+                   .equals_fraction(v) for w, v in checks)
+
+    def k_dependence():
+        for k, q in ((1, 5), (2, 4), (3, 3)):
+            root = tpoly.solve_tuning(q, k)
+            for m in range(pair_len + 1):
+                for n in range(pair_len + 1 - m):
+                    for xc in itertools.product(range(1, q + 1), repeat=m):
+                        for yc in itertools.product(range(1, q + 1), repeat=n):
+                            defect = building.k_dependence_defect(
+                                Word(1, xc, q), Word(1, yc, q), q, k)
+                            if not building.defect_vanishes(defect, root):
+                                return False
+        return True
+
+    def z_closed_form():
+        for k, q in ((1, 5), (2, 4), (3, 3)):
+            root = tpoly.solve_tuning(q, k)
+            for n in range(5):
+                if not building.defect_vanishes(
+                        building.z_closed_form_defect(q, k, n), root):
+                    return False
+        return True
+
+    def coloring_counts():
+        wire = perm.Perm.from_one_line((6, 8, 7, 1, 9, 2, 4, 3, 5))
+        g = perm.constraint_graph(wire)
+        if perm.color_count(g, 5) != 103680:
+            return False
+        for sigma in perm.all_perms(1, 5):
+            g = perm.constraint_graph(sigma)
+            for q in (3, 4, 5):
+                if perm.color_count(g, q) != perm.color_count_brute(g, q):
+                    return False
+        return True
+
+    def converse_uniqueness():
+        root = tpoly.solve_tuning(5, 1)
+        if building.converse_scan(5, root, 6) != [1]:
+            return False
+        if building.converse_scan(5, Fraction(1, 2), 6) != []:
+            return False
+        root42 = tpoly.solve_tuning(4, 2)
+        return building.converse_scan(4, root42, 6) == [2]
+
+    def domination():
+        report = dist.dominance_check(0.5, 0.3, 4 / 3, 50)
+        return report.all_pass and abs(report.n0 - 1.222) < 1e-3
+
+    yield "building-oracle-equivalence", oracle_equivalence
+    yield "consistency-recurrence", consistency
+    yield "reversibility", reversibility
+    yield "tuning-roots", tuning_roots
+    yield "exact-cylinder-values", cylinder_values
+    yield "k-dependence-defect", k_dependence
+    yield "normalizer-closed-form", z_closed_form
+    yield "coloring-count-formula", coloring_counts
+    yield "converse-tuning-scan", converse_uniqueness
+    yield "truncated-geometric-domination", domination
+
+
+def _cmd_verify_exact(args, parser) -> int:
+    checks = []
+    all_pass = True
+    for name, fn in _exact_checks(args.level):
+        ok = bool(fn())
+        checks.append({"name": name, "pass": ok})
+        all_pass = all_pass and ok
+    results = {"checks": checks, "all_pass": all_pass}
+    _emit_json(_envelope("verify-exact", {"level": args.level}, None, results),
+               args.out)
+    return 0 if all_pass else 1
+
+
+# ---------------------------------------------------------------------------
+# verify stat
+
+
+def _stat_shard(q: int, k: int, method: str, windows: int, max_len: int,
+                seed: int) -> dict:
+    stride = max_len + k + 1
+    length = windows * stride + max_len
+    sample = _PIPELINES[method](q, k, length, seed)
+    tables = verify.estimate_cylinders(sample, max_len)
+    pairs = {}
+    for gap in (k, k + 1):
+        joint, n = verify.pair_counts(sample, gap)
+        pairs[gap] = (joint, n)
+    return {"tables": tables, "pairs": pairs}
+
+
+def _merge_shards(shards: list[dict], max_len: int, k: int) -> dict:
+    tables = shards[0]["tables"]
+    for extra in shards[1:]:
+        tables = {m: tables[m].merge(extra["tables"][m]) for m in tables}
+    pairs = {}
+    for gap in (k, k + 1):
+        joint = sum(s["pairs"][gap][0] for s in shards)
+        n = sum(s["pairs"][gap][1] for s in shards)
+        pairs[gap] = (joint, n)
+    return {"tables": tables, "pairs": pairs}
+
+
+def _cmd_verify_stat(args, parser) -> int:
+    _require_admissible(parser, args.q, args.k)
+    q, k = args.q, args.k
+    methods = list(_PIPELINES) if args.method == "all" else [args.method]
+    root = tpoly.solve_tuning(q, k)
+    reports = []
+    all_pass = True
+    for method in methods:
+        per_shard = max(args.windows // args.threads, 1)
+        shard_args = [(q, k, method, per_shard, args.maxlen,
+                       args.seed + 7919 * s) for s in range(args.threads)]
+        if args.threads > 1:
+            with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
+                shards = list(pool.map(_stat_shard_star, shard_args))
+        else:
+            shards = [_stat_shard(*a) for a in shard_args]
+        merged = _merge_shards(shards, args.maxlen, k)
+        for m in range(1, args.maxlen + 1):
+            exact = building.cylinder_masses(q, m, root)
+            rep = verify.chi_square_against_exact(
+                merged["tables"][m], exact,
+                name=f"{method} length-{m} vs exact")
+            reports.append(rep)
+            all_pass = all_pass and rep.passed
+        for gap, expect in ((k + 1, False), (k, True)):
+            joint, n = merged["pairs"][gap]
+            rep = _pair_report(joint, n, gap, expect, method)
+            reports.append(rep)
+            all_pass = all_pass and rep.passed
+    results = {"reports": [r.to_dict() for r in reports], "all_pass": all_pass}
+    params = {"q": q, "k": k, "method": args.method, "windows": args.windows,
+              "maxlen": args.maxlen, "threads": args.threads}
+    _emit_json(_envelope("verify-stat", params, args.seed, results), args.out)
+    return 0 if all_pass else 1
+
+
+def _stat_shard_star(packed):
+    return _stat_shard(*packed)
+
+
+def _pair_report(joint: np.ndarray, n: int, gap: int, expect_dependent: bool,
+                 method: str) -> verify.TestReport:
+    pj = joint / n
+    pa = pj.sum(axis=1)
+    pb = pj.sum(axis=0)
+    prod = np.outer(pa, pb)
+    tv = 0.5 * np.abs(pj - prod).sum()
+    cell_sigma = np.sqrt(np.maximum(prod * (1 - prod), 1e-300) / n)
+    envelope = 4 * 0.5 * cell_sigma.sum()
+    within = tv <= envelope
+    passed = (not within) if expect_dependent else within
+    mode = "dependent" if expect_dependent else "independent"
+    return verify.TestReport(f"{method} gap={gap} expect-{mode}", float(tv),
+                             bool(passed), float(envelope), n,
+                             sigma_distance=float(4 * tv / envelope))
+
+
+# ---------------------------------------------------------------------------
+# radius
+
+
+def _cmd_radius(args, parser) -> int:
+    _require_admissible(parser, args.q, args.k)
+    sample, extras = sampler.ffiid_detail(args.q, args.k, args.length, args.seed)
+    radii = sample.radii
+    rad_counts = {int(v): int(c) for v, c in
+                  zip(*np.unique(radii, return_counts=True))}
+    hop_counts = {int(v): int(c) for v, c in
+                  zip(*np.unique(extras["hops"], return_counts=True))}
+    results: dict = {
+        "radius_histogram": {str(k_): v for k_, v in sorted(rad_counts.items())},
+        "lookback_histogram": {str(k_): v for k_, v in sorted(hop_counts.items())},
+        "expected_lookback_slope": math.log(2 / args.q),
+    }
+    try:
+        fit = verify.tail_fit(rad_counts, lo=5, hi=30, min_count=10)
+        results["radius_tail"] = {"slope": fit.slope, "r2": fit.r2}
+    except verify.InsufficientDataError:
+        results["radius_tail"] = None
+    try:
+        fit = verify.tail_fit(hop_counts, lo=1, hi=30, min_count=10)
+        results["lookback_tail"] = {"slope": fit.slope, "r2": fit.r2}
+    except verify.InsufficientDataError:
+        results["lookback_tail"] = None
+    params = {"q": args.q, "k": args.k, "length": args.length}
+    _emit_json(_envelope("radius", params, args.seed, results), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mallows-coloring",
+        description="k-dependent q-colorings of the integers: exact "
+                    "identities, tuned roots, and cross-validated samplers.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, seed=False):
+        p.add_argument("--q", type=int, required=True, help="number of colors")
+        p.add_argument("--k", type=int, required=True, help="dependence range")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("solve-tuning", help="isolate the tuned parameter")
+    common(p)
+    p.add_argument("--precision", default="1e-30")
+    p.set_defaults(fn=_cmd_solve_tuning)
+
+    p = sub.add_parser("exact", help="exact cylinder probability of a word")
+    common(p)
+    p.add_argument("--word", required=True, help="digits over 1..q, e.g. 121")
+    p.add_argument("--precision", default="1e-30")
+    p.set_defaults(fn=_cmd_exact)
+
+    p = sub.add_parser("sample", help="sample a window of the coloring")
+    common(p, seed=True)
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--method", choices=sorted(_PIPELINES), default="painting")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(fn=_cmd_sample)
+
+    p = sub.add_parser("verify", help="verification suites")
+    vsub = p.add_subparsers(dest="verify_command", required=True)
+
+    pe = vsub.add_parser("exact", help="deterministic polynomial identities")
+    pe.add_argument("--level", choices=["quick", "full"], default="quick")
+    pe.add_argument("--out", default=None)
+    pe.set_defaults(fn=_cmd_verify_exact)
+
+    ps = vsub.add_parser("stat", help="sampler law checks")
+    common(ps, seed=True)
+    ps.add_argument("--method", choices=["all"] + sorted(_PIPELINES),
+                    default="all")
+    ps.add_argument("--windows", type=int, default=200_000)
+    ps.add_argument("--maxlen", type=int, default=3)
+    ps.add_argument("--threads", type=int, default=1)
+    ps.set_defaults(fn=_cmd_verify_stat)
+
+    p = sub.add_parser("radius", help="coding-radius diagnostics (ffiid)")
+    common(p, seed=True)
+    p.add_argument("--length", type=int, default=100_000)
+    p.set_defaults(fn=_cmd_radius)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args, parser)
+    except tpoly.NoSolutionError as err:
+        parser.error(str(err))
+    except (ValueError, RuntimeError) as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,198 @@
+"""Truncated and weighted geometric distributions.
+
+Five variants parameterized by (t, u, trunc), where trunc is the truncation
+index i:
+
+    TRUNCATED                P(j) = t^j / (1 + t + ... + t^i)
+    ZERO_WEIGHTED            P(j) = u^[j=0] t^j / (u + t + ... + t^i)
+    MAX_WEIGHTED             P(j) = u^[j=i] t^j / (1 + t + ... + u t^i)
+    END_WEIGHTED             P(j) = u^[j in {0,i}] t^j / (u + t + ... + u t^i)
+    ZERO_WEIGHTED_INFINITE   P(j) = u^[j=0] t^j / (u + t/(1-t)),  j >= 0
+
+Exact rational mass functions back the identity checks; samplers run in
+floating point off precomputed inverse-CDF tables.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import math
+from fractions import Fraction
+
+import numpy as np
+
+
+class GeomVariant(enum.Enum):
+    TRUNCATED = "truncated"
+    ZERO_WEIGHTED = "zero_weighted"
+    MAX_WEIGHTED = "max_weighted"
+    END_WEIGHTED = "end_weighted"
+    ZERO_WEIGHTED_INFINITE = "zero_weighted_infinite"
+
+
+_FINITE = (GeomVariant.TRUNCATED, GeomVariant.ZERO_WEIGHTED,
+           GeomVariant.MAX_WEIGHTED, GeomVariant.END_WEIGHTED)
+
+
+@dataclasses.dataclass(frozen=True)
+class GeomSpec:
+    """Parameter bundle for one geometric variant.
+
+    t and u may be Fraction (exact mode) or float (sampling mode); trunc is
+    ignored by the infinite variant, which requires t < 1 to normalize.
+    """
+
+    variant: GeomVariant
+    t: Fraction | float
+    u: Fraction | float = 1
+    trunc: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.t:
+            raise ValueError("t must be nonnegative")
+        if self.t >= 1 and self.variant is GeomVariant.ZERO_WEIGHTED_INFINITE:
+            raise ValueError("infinite variant needs t < 1")
+        if self.t > 1:
+            raise ValueError("t must lie in [0, 1)")
+        if not self.u > 0:
+            raise ValueError("u must be positive")
+        if self.trunc < 0:
+            raise ValueError("trunc must be nonnegative")
+
+    def support_max(self) -> int | None:
+        return self.trunc if self.variant in _FINITE else None
+
+    def _weight(self, j: int) -> Fraction:
+        u = Fraction(self.u)
+        if self.variant is GeomVariant.TRUNCATED:
+            return Fraction(1)
+        if self.variant is GeomVariant.ZERO_WEIGHTED:
+            return u if j == 0 else Fraction(1)
+        if self.variant is GeomVariant.MAX_WEIGHTED:
+            return u if j == self.trunc else Fraction(1)
+        if self.variant is GeomVariant.END_WEIGHTED:
+            return u if j in (0, self.trunc) else Fraction(1)
+        return u if j == 0 else Fraction(1)
+
+
+def weights(spec: GeomSpec) -> list[Fraction]:
+    """Unnormalized exact masses over the finite support."""
+    if spec.variant not in _FINITE:
+        raise ValueError("finite support required")
+    t = Fraction(spec.t)
+    return [spec._weight(j) * t**j for j in range(spec.trunc + 1)]
+
+
+def pmf(spec: GeomSpec, j: int) -> Fraction:
+    """Exact probability mass at j."""
+    if j < 0:
+        raise ValueError("support is nonnegative")
+    t = Fraction(spec.t)
+    if spec.variant in _FINITE:
+        if j > spec.trunc:
+            raise ValueError(f"j={j} above truncation {spec.trunc}")
+        ws = weights(spec)
+        return ws[j] / sum(ws)
+    denom = Fraction(spec.u) + t / (1 - t) if t else Fraction(spec.u)
+    return spec._weight(j) * t**j / denom
+
+
+def cdf(spec: GeomSpec, j: int) -> Fraction:
+    """Exact P(X <= j)."""
+    if j < 0:
+        return Fraction(0)
+    t = Fraction(spec.t)
+    if spec.variant in _FINITE:
+        j = min(j, spec.trunc)
+        ws = weights(spec)
+        return sum(ws[: j + 1], Fraction(0)) / sum(ws)
+    u = Fraction(spec.u)
+    denom = u + (t / (1 - t) if t else 0)
+    # u + t + ... + t^j over the full mass
+    partial = u + (t * (1 - t**j) / (1 - t) if t else 0)
+    return partial / denom
+
+
+_tables: dict[tuple, np.ndarray] = {}
+
+
+def _prefix_table(spec: GeomSpec) -> np.ndarray:
+    key = (spec.variant, float(spec.t), float(spec.u), spec.trunc)
+    table = _tables.get(key)
+    if table is None:
+        ws = np.array([float(w) for w in weights(spec)])
+        table = np.cumsum(ws) / ws.sum()
+        _tables[key] = table
+    return table
+
+
+def sample(spec: GeomSpec, rng: np.random.Generator, size: int | None = None):
+    """Inverse-CDF draw(s); deterministic given the generator state.
+
+    Returns an int when size is None, otherwise an int64 array.
+    """
+    scalar = size is None
+    n = 1 if scalar else size
+    if spec.variant in _FINITE:
+        table = _prefix_table(spec)
+        out = np.searchsorted(table, rng.random(n), side="right")
+    else:
+        t = float(spec.t)
+        u = float(spec.u)
+        p0 = u / (u + t / (1 - t)) if t else 1.0
+        us = rng.random(n)
+        out = np.zeros(n, dtype=np.int64)
+        tail = us >= p0
+        if t and tail.any():
+            # Conditional on being positive the law is 1 + geometric(t),
+            # independent of u.
+            rescaled = (us[tail] - p0) / (1 - p0)
+            out[tail] = 1 + np.floor(
+                np.log1p(-rescaled * (1 - 1e-18)) / math.log(t)).astype(np.int64)
+    return int(out[0]) if scalar else out
+
+
+@dataclasses.dataclass(frozen=True)
+class DominanceReport:
+    """Outcome of the truncated-geometric stochastic dominance check."""
+
+    n0: float
+    checked: dict[int, bool]
+    holds_from: int | None
+
+    @property
+    def all_pass(self) -> bool:
+        return all(self.checked.values())
+
+
+def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport:
+    """Verify that the n-truncated s-geometric stochastically dominates the
+    u-end-weighted n-truncated t-geometric for every n from ceil(n0) to
+    n_max, where n0 = log_{s/t}(u (1-t)/(1-s)).
+
+    Comparisons are exact: float inputs are treated as the rationals they
+    are.  Also reports the smallest n from which dominance holds through
+    n_max.
+    """
+    if not 0 < t < s < 1:
+        raise ValueError("needs 0 < t < s < 1")
+    if u < 1:
+        raise ValueError("needs u >= 1")
+    n0 = math.log(u * (1 - t) / (1 - s)) / math.log(s / t)
+    st, tt, ut = Fraction(s), Fraction(t), Fraction(u)
+    results: dict[int, bool] = {}
+    for n in range(max(1, math.ceil(n0)), n_max + 1):
+        results[n] = _dominates(st, tt, ut, n)
+    holds_from = None
+    for n in range(n_max, 0, -1):
+        if not _dominates(st, tt, ut, n):
+            break
+        holds_from = n
+    return DominanceReport(n0=n0, checked=results, holds_from=holds_from)
+
+
+def _dominates(s: Fraction, t: Fraction, u: Fraction, n: int) -> bool:
+    upper = GeomSpec(GeomVariant.TRUNCATED, s, trunc=n)
+    lower = GeomSpec(GeomVariant.END_WEIGHTED, t, u, trunc=n)
+    return all(cdf(upper, r) <= cdf(lower, r) for r in range(n + 1))

@@ -1,0 +1,80 @@
+"""Words: finite color sequences indexed by an integer interval."""
+
+from __future__ import annotations
+
+import dataclasses
+
+
+@dataclasses.dataclass(frozen=True)
+class Word:
+    """A word over the alphabet {1, ..., alphabet} indexed by [start, start+n-1].
+
+    A word is proper if no two adjacent characters are equal; proper words
+    are exactly the q-colorings of their index interval.
+    """
+
+    start: int
+    chars: tuple[int, ...]
+    alphabet: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "chars", tuple(int(c) for c in self.chars))
+        if self.alphabet < 1:
+            raise ValueError("alphabet must be at least 1")
+        for c in self.chars:
+            if not 1 <= c <= self.alphabet:
+                raise ValueError(f"character {c} outside alphabet 1..{self.alphabet}")
+
+    @classmethod
+    def from_string(cls, text: str, alphabet: int, start: int = 1) -> Word:
+        """Parse single-digit colors, e.g. "121" -> (1, 2, 1)."""
+        return cls(start, tuple(int(ch) for ch in text), alphabet)
+
+    def __len__(self) -> int:
+        return len(self.chars)
+
+    @property
+    def end(self) -> int:
+        """Last index; start - 1 for the empty word."""
+        return self.start + len(self.chars) - 1
+
+    @property
+    def interval(self) -> tuple[int, int]:
+        return (self.start, self.end)
+
+    def is_proper(self) -> bool:
+        return all(a != b for a, b in zip(self.chars, self.chars[1:]))
+
+    def reverse(self) -> Word:
+        return Word(self.start, self.chars[::-1], self.alphabet)
+
+    def delete(self, pos: int) -> Word:
+        """Remove the character at 0-based offset pos, keeping the start."""
+        if not 0 <= pos < len(self.chars):
+            raise IndexError(f"offset {pos} out of range")
+        return Word(self.start, self.chars[:pos] + self.chars[pos + 1:], self.alphabet)
+
+    def append(self, c: int) -> Word:
+        return Word(self.start, self.chars + (int(c),), self.alphabet)
+
+    def prepend(self, c: int) -> Word:
+        return Word(self.start - 1, (int(c),) + self.chars, self.alphabet)
+
+    def concat(self, other: Word) -> Word:
+        if other.alphabet != self.alphabet:
+            raise ValueError("alphabet mismatch in concatenation")
+        return Word(self.start, self.chars + other.chars, self.alphabet)
+
+    def pattern(self) -> tuple[int, ...]:
+        """Canonical color pattern: first-seen colors renamed 1, 2, 3, ...
+
+        Two words have equal patterns iff one is a color relabeling of the
+        other; all counting quantities downstream depend only on this.
+        """
+        seen: dict[int, int] = {}
+        out = []
+        for c in self.chars:
+            if c not in seen:
+                seen[c] = len(seen) + 1
+            out.append(seen[c])
+        return tuple(out)
