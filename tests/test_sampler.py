@@ -252,6 +252,23 @@ class TestPipelines:
             dens = samp.endpoint_mask.mean()
             assert abs(dens - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
 
+    @pytest.mark.parametrize("fn", [painting_sample, lehmer_pipeline_sample,
+                                    ffiid_sample])
+    @pytest.mark.parametrize("k,q", [(1, 5), (2, 4), (3, 3)])
+    def test_extension_invariance(self, fn, k, q):
+        # growing the window never changes the sites already drawn
+        n = 300
+        for seed in (0, 1, 2):
+            full = fn(q, k, n, seed)
+            for m in (1, 2, 17, n - 1):
+                part = fn(q, k, m, seed)
+                assert (part.colors == full.colors[:m]).all()
+                assert (part.endpoint_mask == full.endpoint_mask[:m]).all()
+                if full.radii is None:
+                    assert part.radii is None
+                else:
+                    assert (part.radii == full.radii[:m]).all()
+
     def test_single_site_window(self):
         s = painting_sample(5, 1, 1, seed=3)
         assert len(s) == 1
