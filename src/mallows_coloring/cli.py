@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -63,6 +64,22 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _precision(text: str) -> str:
+    try:
+        if Fraction(text) > 0:
+            return text
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
 
 
 def _require_admissible(parser: argparse.ArgumentParser, q: int, k: int) -> None:
@@ -345,7 +362,8 @@ def _cmd_verify_stat(args, parser) -> int:
         shard_args = [(q, k, method, per_shard, args.maxlen,
                        args.seed + 7919 * s) for s in range(args.threads)]
         if args.threads > 1:
-            with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
+            workers = min(args.threads, os.cpu_count() or 1)
+            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 shards = list(pool.map(_stat_shard_star, shard_args))
         else:
             shards = [_stat_shard(*a) for a in shard_args]
@@ -359,7 +377,7 @@ def _cmd_verify_stat(args, parser) -> int:
             all_pass = all_pass and rep.passed
         for gap, expect in ((k + 1, False), (k, True)):
             joint, n = merged["pairs"][gap]
-            rep = _pair_report(joint, n, gap, expect, method)
+            rep = verify.independence_report(joint, n, gap, expect, method)
             reports.append(rep)
             all_pass = all_pass and rep.passed
     results = {"reports": [r.to_dict() for r in reports], "all_pass": all_pass}
@@ -371,23 +389,6 @@ def _cmd_verify_stat(args, parser) -> int:
 
 def _stat_shard_star(packed):
     return _stat_shard(*packed)
-
-
-def _pair_report(joint: np.ndarray, n: int, gap: int, expect_dependent: bool,
-                 method: str) -> verify.TestReport:
-    pj = joint / n
-    pa = pj.sum(axis=1)
-    pb = pj.sum(axis=0)
-    prod = np.outer(pa, pb)
-    tv = 0.5 * np.abs(pj - prod).sum()
-    cell_sigma = np.sqrt(np.maximum(prod * (1 - prod), 1e-300) / n)
-    envelope = 4 * 0.5 * cell_sigma.sum()
-    within = tv <= envelope
-    passed = (not within) if expect_dependent else within
-    mode = "dependent" if expect_dependent else "independent"
-    return verify.TestReport(f"{method} gap={gap} expect-{mode}", float(tv),
-                             bool(passed), float(envelope), n,
-                             sigma_distance=float(4 * tv / envelope))
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-tuning", help="isolate the tuned parameter")
     common(p)
-    p.add_argument("--precision", default="1e-30")
+    p.add_argument("--precision", type=_precision, default="1e-30")
     p.set_defaults(fn=_cmd_solve_tuning)
 
     p = sub.add_parser("exact", help="exact cylinder probability of a word")
     common(p)
     p.add_argument("--word", required=True, help="digits over 1..q, e.g. 121")
-    p.add_argument("--precision", default="1e-30")
+    p.add_argument("--precision", type=_precision, default="1e-30")
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("sample", help="sample a window of the coloring")
     common(p, seed=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_positive_int, required=True)
     p.add_argument("--method", choices=sorted(_PIPELINES), default="painting")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=_cmd_sample)
@@ -471,13 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--method", choices=["all"] + sorted(_PIPELINES),
                     default="all")
     ps.add_argument("--windows", type=int, default=200_000)
-    ps.add_argument("--maxlen", type=int, default=3)
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--maxlen", type=int, choices=range(1, 5), default=3)
+    ps.add_argument("--threads", type=_positive_int, default=1,
+                    help="shards; at most os.cpu_count() run at once")
     ps.set_defaults(fn=_cmd_verify_stat)
 
     p = sub.add_parser("radius", help="coding-radius diagnostics (ffiid)")
     common(p, seed=True)
-    p.add_argument("--length", type=int, default=100_000)
+    p.add_argument("--length", type=_positive_int, default=100_000)
     p.set_defaults(fn=_cmd_radius)
 
     return parser

@@ -18,11 +18,27 @@ All pipelines are pure functions of (parameters, seed): every variate is
 derived from the seed and a site index through the documented splitting rule
 in `streams`, so extending a window never changes already-drawn sites and
 runs reproduce bit for bit.
+
+Every gap between two colored sites is filled along the Cartesian tree of
+its arrival times (Vuillemin 1980): `_splits` walks the tree, and `_fill`
+colors each site uniformly among the q - 2 colors differing from its two
+nearest earlier arrivals.  The draws are keyed by what they decide, never
+by when they are made, so the order in which the walk visits the tree can
+change without changing any output.  These keys are part of the stable
+seed interface:
+
+  * painting: the split site of gap (a, b) from u01(seed, a, b,
+    S_PAINT_SPLIT), the color of a site from u01(seed, site, S_PAINT_COLOR);
+  * lehmer: the color of a bubble site from u01(seed, site, S_BUBBLE);
+  * ffiid: the color of a bubble site from u01_from_word(word, rank), where
+    word = mix(seed, a, S_FFIID_U) for the block's left zero a and rank is
+    the site's place in the block's arrival order (the endpoints have
+    ranks 0 and 1).
 """
 
 from __future__ import annotations
 
-import bisect
+import collections
 import dataclasses
 import functools
 import math
@@ -30,8 +46,8 @@ import math
 import numpy as np
 
 from . import dist
-from .perm import (ConstraintGraph, LehmerSeq, Perm, constraint_graph,
-                   decode_insertion, decode_lehmer, decrement_cycle_values)
+from .perm import (ConstraintGraph, LehmerSeq, Perm, decode_insertion,
+                   decode_lehmer, decrement_cycle_values)
 from .streams import mix, u01, u01_array, u01_from_word
 from .tpoly import solve_tuning
 from .words import Word
@@ -192,6 +208,71 @@ def lehmer_marginal_at_origin(n: int, t: float, u: float,
 
 
 # ---------------------------------------------------------------------------
+# Cartesian-tree gap filling
+
+
+def _splits(gaps, first):
+    """Walk the Cartesian trees of arrival times over the gaps (a, b).
+
+    Yields (v, lo, hi) once for every site v strictly inside a gap: lo and
+    hi are v's nearest earlier arrivals, and `first(lo, hi)` names v, the
+    first arrival strictly between them.
+    """
+    for a, b in gaps:
+        stack = [(a, b)] if b - a >= 2 else []
+        while stack:
+            lo, hi = stack.pop()
+            v = first(lo, hi)
+            yield v, lo, hi
+            if v - lo >= 2:
+                stack.append((lo, v))
+            if hi - v >= 2:
+                stack.append((v, hi))
+
+
+def _fill(colors: np.ndarray, base: int, splits, q: int, draw) -> None:
+    """Color each split site v uniformly among the q - 2 colors differing
+    from both its flanks lo and hi, which must already be colored in
+    `colors` (offset by `base`); draw(v) supplies the uniform."""
+    for v, lo, hi in splits:
+        cl, ch = colors[lo - base], colors[hi - base]
+        if cl > ch:
+            cl, ch = ch, cl
+        c = int(draw(v) * (q - 2)) + 1
+        if c >= cl:
+            c += 1
+        if c >= ch:
+            c += 1
+        colors[v - base] = c
+
+
+def _earliest(values: list[int], a: int):
+    """first(lo, hi) for the block starting at site a whose arrival times
+    are `values`: the site strictly between lo and hi arriving first."""
+    def first(lo, hi):
+        inner = values[lo + 1 - a:hi - a]
+        return lo + 1 + inner.index(min(inner))
+    return first
+
+
+def _joined(arcs):
+    """first(lo, hi) read off a constraint graph's arcs: the one site
+    strictly between lo and hi joined by arcs to both.  Raises ValueError
+    when there is no such site, as for arcs that do not form bubbles."""
+    nbrs = collections.defaultdict(set)
+    for i, j in arcs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+
+    def first(lo, hi):
+        both = [v for v in nbrs[lo] & nbrs[hi] if lo < v < hi]
+        if len(both) != 1:
+            raise ValueError("arc set is not a single bubble of a constraint graph")
+        return both[0]
+    return first
+
+
+# ---------------------------------------------------------------------------
 # Constraint graphs from code fields
 
 
@@ -201,23 +282,13 @@ def _block_arc_list(entries, a: int) -> list[tuple[int, int]]:
     entries runs over [a, b] with zeros at both ends.  Interior entries may
     exceed the in-block code bounds; only the relative arrival order on the
     block matters, and that is read off the decrement-cycle composition.
+    The arcs are exactly the gaps the Cartesian tree of that order splits.
     """
-    g = len(entries) - 1
-    if g <= 1:
+    if len(entries) < 3:
         return []
     values = decrement_cycle_values(entries, a, "lehmer")
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
-    for r, idx in enumerate(order):
-        ranks[idx] = r
-    pattern = Perm(a, tuple(a + r for r in ranks))
-    return [arc for arc in constraint_graph(pattern).arcs if arc[1] - arc[0] > 1]
-
-
-def _block_arrival(entries, a: int) -> list[int]:
-    """Arrival order of block positions; the two block endpoints come first."""
-    values = decrement_cycle_values(entries, a, "lehmer")
-    return sorted(range(a, a + len(values)), key=lambda p: values[p - a])
+    return [(lo, hi) for _, lo, hi in
+            _splits([(a, a + len(values) - 1)], _earliest(values, a))]
 
 
 def gamma_from_lehmer(entries, start: int) -> ConstraintGraph:
@@ -241,62 +312,6 @@ def gamma_from_lehmer(entries, start: int) -> ConstraintGraph:
     return ConstraintGraph(start, n, frozenset(arcs))
 
 
-def _bubble_arrival_from_arcs(arcs: set[tuple[int, int]], a: int, b: int) -> list[int]:
-    """Reconstruct a valid arrival order of a single bubble from its arcs.
-
-    Peels the last arrival repeatedly: an interior vertex adjacent exactly
-    to its two flanking positions, which are themselves adjacent.  Any valid
-    order yields the same conditional-uniform coloring law.
-    """
-    if b - a <= 1:
-        return [a, b][: b - a + 1]
-    incident: dict[int, set[int]] = {v: set() for v in range(a, b + 1)}
-    for i, j in arcs:
-        incident[i].add(j)
-        incident[j].add(i)
-    removed = []
-    alive_interior = set(range(a + 1, b))
-    for _ in range(b - a - 1):
-        pick = None
-        for v in sorted(alive_interior):
-            nbrs = incident[v]
-            if len(nbrs) == 2:
-                lo, hi = sorted(nbrs)
-                if hi in incident[lo]:
-                    pick = (v, lo, hi)
-                    break
-        if pick is None:
-            raise ValueError("arc set is not a single bubble of a constraint graph")
-        v, lo, hi = pick
-        removed.append(v)
-        alive_interior.discard(v)
-        incident[lo].discard(v)
-        incident[hi].discard(v)
-        del incident[v]
-    return [a, b] + removed[::-1]
-
-
-def _fill_bubble(colors: np.ndarray, base: int, order: list[int], q: int,
-                 draw) -> None:
-    """Color a bubble in arrival order; the first two arrivals are the
-    endpoints and must already be colored in `colors` (offset by `base`).
-    Each later vertex picks uniformly among the q - 2 colors differing from
-    both current flanking arrivals."""
-    arrived = sorted(order[:2])
-    for rank, v in enumerate(order[2:], start=2):
-        at = bisect.bisect_left(arrived, v)
-        cl = colors[arrived[at - 1] - base]
-        cr = colors[arrived[at] - base]
-        lo, hi = (cl, cr) if cl < cr else (cr, cl)
-        c = int(draw(v, rank) * (q - 2)) + 1
-        if c >= lo:
-            c += 1
-        if c >= hi:
-            c += 1
-        colors[v - base] = c
-        arrived.insert(at, v)
-
-
 def uniform_coloring(graph: ConstraintGraph, q: int,
                      rng: np.random.Generator) -> Word:
     """Uniform proper q-coloring of a good window graph.
@@ -304,7 +319,7 @@ def uniform_coloring(graph: ConstraintGraph, q: int,
     Bubble-endpoint colors follow a stationary walk on the complete graph
     (first endpoint uniform, each next uniform over the other q - 1 colors);
     each bubble is then filled conditionally uniformly given its endpoint
-    colors.
+    colors, along an arrival order read off its arcs.
     """
     if q < 3:
         raise ValueError("need q >= 3")
@@ -316,13 +331,8 @@ def uniform_coloring(graph: ConstraintGraph, q: int,
         step = int(rng.random() * (q - 1)) + 1
         c = (c - 1 + step) % q + 1
         colors[e - graph.start] = c
-    for ea, eb in zip(eps, eps[1:]):
-        if eb - ea < 2:
-            continue
-        arcs = {arc for arc in graph.arcs if ea <= arc[0] < arc[1] <= eb}
-        order = _bubble_arrival_from_arcs(arcs, ea, eb)
-        _fill_bubble(colors, graph.start, order, q,
-                     lambda v, rank: rng.random())
+    splits = _splits(zip(eps, eps[1:]), _joined(graph.arcs))
+    _fill(colors, graph.start, splits, q, lambda v: rng.random())
     return Word(graph.start, tuple(int(c) for c in colors), q)
 
 
@@ -343,34 +353,24 @@ def _code_field(seed: int, lo: int, hi: int, t: float, p_zero: float,
     return out
 
 
-def _extend_left(seed: int, first: int, hit, chunk: int = _CHUNK) -> int:
-    """Smallest-position hit at or left of `first`, scanning leftward.
+def _hits(seed: int, stream: int, p: float):
+    """hit(lo, hi): the sites of [lo, hi], increasing, whose uniform on
+    `stream` falls below p."""
+    def hit(lo, hi):
+        sites = np.arange(lo, hi + 1, dtype=np.int64)
+        return sites[u01_array(seed, sites, stream) < p]
+    return hit
 
-    `hit(lo, hi)` returns in-chunk hit positions (absolute), scanned on
-    [lo, hi] windows moving left.  Raises after EXTENSION_CAP sites.
-    """
-    hi = first
-    scanned = 0
-    while scanned <= EXTENSION_CAP:
-        lo = hi - chunk + 1
-        hits = hit(lo, hi)
+
+def _nearest(hit, first: int, step: int) -> int:
+    """Nearest hit at or beyond `first` in direction `step` (-1 leftward,
+    +1 rightward), scanned in _CHUNK-site windows.  Raises after
+    EXTENSION_CAP sites."""
+    for near in range(first, first + step * (EXTENSION_CAP + 1), step * _CHUNK):
+        far = near + step * (_CHUNK - 1)
+        hits = hit(min(near, far), max(near, far))
         if len(hits):
-            return int(hits[-1])
-        hi = lo - 1
-        scanned += chunk
-    raise RuntimeError("window extension exceeded cap; parameters degenerate")
-
-
-def _extend_right(seed: int, first: int, hit, chunk: int = _CHUNK) -> int:
-    lo = first
-    scanned = 0
-    while scanned <= EXTENSION_CAP:
-        hi = lo + chunk - 1
-        hits = hit(lo, hi)
-        if len(hits):
-            return int(hits[0])
-        lo = hi + 1
-        scanned += chunk
+            return int(hits[0] if step > 0 else hits[-1])
     raise RuntimeError("window extension exceeded cap; parameters degenerate")
 
 
@@ -417,12 +417,9 @@ def painting_sample(q: int, k: int, length: int, seed: int,
     anchor_density = 1.0 - s
     logt = math.log(tv)
 
-    def marked(lo, hi):
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        return sites[u01_array(seed, sites, S_PAINT_BERN) < anchor_density]
-
-    left = _extend_left(seed, 0, marked)
-    right = _extend_right(seed, length - 1, marked)
+    marked = _hits(seed, S_PAINT_BERN, anchor_density)
+    left = _nearest(marked, 0, -1)
+    right = _nearest(marked, length - 1, 1)
     sites = np.arange(left, right + 1, dtype=np.int64)
     bern = u01_array(seed, sites, S_PAINT_BERN) < anchor_density
     anchors = sites[bern]
@@ -430,30 +427,21 @@ def painting_sample(q: int, k: int, length: int, seed: int,
     colors[anchors - left] = _walk_colors(seed, anchors, q,
                                           S_PAINT_FIRST, S_PAINT_STEP)
 
-    stack = [(int(a), int(b)) for a, b in zip(anchors, anchors[1:])
-             if b - a >= 2]
-    while stack:
-        a, b = stack.pop()
+    def split(a, b):
         g = b - a - 1
         if g == 1:
-            m = 0
-        else:
-            u = u01(seed, a, b, S_PAINT_SPLIT)
-            m = int(math.floor(math.log1p(-u * (1.0 - tv**g)) / logt))
-            m = min(max(m, 0), g - 1)
-        site = a + 1 + m
-        ca, cb = colors[a - left], colors[b - left]
-        lo, hi = (ca, cb) if ca < cb else (cb, ca)
-        c = int(u01(seed, site, S_PAINT_COLOR) * (q - 2)) + 1
-        if c >= lo:
-            c += 1
-        if c >= hi:
-            c += 1
-        colors[site - left] = c
-        if site - a >= 2:
-            stack.append((a, site))
-        if b - site >= 2:
-            stack.append((site, b))
+            return a + 1
+        u = u01(seed, a, b, S_PAINT_SPLIT)
+        m = int(math.floor(math.log1p(-u * (1.0 - tv**g)) / logt))
+        return a + 1 + min(max(m, 0), g - 1)
+
+    def draw(v):
+        return u01(seed, v, S_PAINT_COLOR)
+
+    # Listing only the gaps with interior sites keeps peak memory down.
+    wide = np.diff(anchors) >= 2
+    gaps = zip(anchors[:-1][wide].tolist(), anchors[1:][wide].tolist())
+    _fill(colors, left, _splits(gaps, split), q, draw)
 
     lo_off = -left
     window_colors = colors[lo_off:lo_off + length]
@@ -474,44 +462,54 @@ def _zero_field_params(q: int, tv: float) -> tuple[float, float]:
 
 def _lehmer_common(q: int, k: int, length: int, seed: int,
                    t: float | None, zero_stream: int, tail_stream: int):
-    """Code field on an extended window with zeros at both ends."""
+    """Code field on an extended window with zeros at both ends, and the
+    zero-site hit test that found them."""
+    if length < 1:
+        raise ValueError("need length >= 1")
     tv, s = _resolve(q, k, t)
     _, p_zero = _zero_field_params(q, tv)
-
-    def zeros_of(lo, hi):
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        return sites[u01_array(seed, sites, zero_stream) < p_zero]
-
-    left = _extend_left(seed, 0, zeros_of)
-    right = _extend_right(seed, length - 1, zeros_of)
+    zeros_of = _hits(seed, zero_stream, p_zero)
+    left = _nearest(zeros_of, 0, -1)
+    right = _nearest(zeros_of, length - 1, 1)
     entries = _code_field(seed, left, right, tv, p_zero, zero_stream,
                           tail_stream)
-    return tv, s, left, right, entries
+    return tv, s, left, right, entries, zeros_of
+
+
+def _fill_blocks(colors: np.ndarray, left: int, entries: np.ndarray, q: int,
+                 block_draw) -> None:
+    """Fill every bubble of a code field along its arrival order.
+
+    entries is the code field from site `left` on; its zeros, which delimit
+    the blocks, must already be colored in `colors`.  block_draw(a, values)
+    returns the draw of the block whose left zero is site a and whose
+    arrival times are `values`.
+    """
+    zeros = np.flatnonzero(entries == 0).tolist()
+    for za, zb in zip(zeros, zeros[1:]):
+        if zb - za < 2:
+            continue
+        a = za + left
+        values = decrement_cycle_values(entries[za:zb + 1].tolist(), a,
+                                        "lehmer")
+        _fill(colors, left, _splits([(a, zb + left)], _earliest(values, a)),
+              q, block_draw(a, values))
 
 
 def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
                            t: float | None = None):
     """As lehmer_pipeline_sample, also returning the window's code entries."""
-    if length < 1:
-        raise ValueError("need length >= 1")
-    tv, s, left, right, entries = _lehmer_common(
+    tv, s, left, _, entries, _ = _lehmer_common(
         q, k, length, seed, t, S_LEHMER_ZERO, S_LEHMER_TAIL)
     zero_offs = np.flatnonzero(entries == 0)
-    zero_sites = zero_offs + left
     colors = np.zeros(len(entries), dtype=np.int64)
-    colors[zero_offs] = _walk_colors(seed, zero_sites, q,
+    colors[zero_offs] = _walk_colors(seed, zero_offs + left, q,
                                      S_WALK_FIRST, S_WALK_STEP)
 
-    def draw(v, rank):
-        return u01(seed, v, S_BUBBLE)
+    def block_draw(a, values):
+        return lambda v: u01(seed, v, S_BUBBLE)
 
-    elist = entries.tolist()
-    zlist = zero_offs.tolist()
-    for za, zb in zip(zlist, zlist[1:]):
-        if zb - za < 2:
-            continue
-        order = _block_arrival(elist[za:zb + 1], za + left)
-        _fill_bubble(colors, left, order, q, draw)
+    _fill_blocks(colors, left, entries, q, block_draw)
 
     lo_off = -left
     window = slice(lo_off, lo_off + length)
@@ -545,15 +543,8 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     ("hops"): the number of steps through the zero set back to the
     resolving site, whose tail is exactly (2/q)^n.
     """
-    if length < 1:
-        raise ValueError("need length >= 1")
-    tv, s, left, right, entries = _lehmer_common(
+    tv, s, left, right, entries, zeros_of = _lehmer_common(
         q, k, length, seed, t, S_FFIID_ZERO, S_FFIID_TAIL)
-    p_zero = _zero_field_params(q, tv)[1]
-
-    def zeros_of(lo, hi):
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        return sites[u01_array(seed, sites, S_FFIID_ZERO) < p_zero]
 
     # Walk left through the zero set from the window's left anchor until a
     # zero site whose first candidate color escapes its predecessor's pair;
@@ -561,7 +552,7 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     chain = []
     cur = left
     while True:
-        prev = _extend_left(seed, cur - 1, zeros_of)
+        prev = _nearest(zeros_of, cur - 1, -1)
         if _color_pair(seed, cur, q)[0] not in _color_pair(seed, prev, q):
             break
         chain.append(prev)
@@ -597,14 +588,14 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     in_win = zs >= left
     colors[zs[in_win] - left] = zcolors[in_win]
 
-    for m in range(len(zs) - 1):
-        za, zb = int(zs[m]), int(zs[m + 1])
-        if zb <= left or zb - za < 2 or za > length - 2:
-            continue
-        word = mix(seed, za, S_FFIID_U)
-        order = _block_arrival(entries[za - left:zb - left + 1].tolist(), za)
-        _fill_bubble(colors, left, order, q,
-                     lambda v, rank: u01_from_word(word, rank))
+    def block_draw(a, values):
+        # Uniforms are indexed by arrival rank within the block.
+        word = mix(seed, a, S_FFIID_U)
+        order = sorted(range(len(values)), key=values.__getitem__)
+        rank = {off: r for r, off in enumerate(order)}
+        return lambda v: u01_from_word(word, rank[v - a])
+
+    _fill_blocks(colors, left, entries, q, block_draw)
 
     # Coding radii on the window: distance to the farthest site examined.
     window_sites = np.arange(0, length, dtype=np.int64)

@@ -168,19 +168,26 @@ def pair_counts(sample: ColoringSample, gap: int,
 def independence_defect(sample: ColoringSample, gap: int,
                         expect_dependent: bool | None = None,
                         stride: int | None = None) -> TestReport:
-    """Total-variation distance between the joint law of two sites at
-    distance `gap` and the product of its marginals, in units of a
-    4-sigma multinomial envelope.
+    """independence_report on a sample; dependence is required by default
+    exactly when gap <= k."""
+    if expect_dependent is None:
+        expect_dependent = gap <= sample.params.k
+    joint, n = pair_counts(sample, gap, stride)
+    return independence_report(joint, n, gap, expect_dependent)
+
+
+def independence_report(joint: np.ndarray, n: int, gap: int,
+                        expect_dependent: bool,
+                        label: str = "independence") -> TestReport:
+    """Total-variation distance between a joint law of two sites at
+    distance `gap`, given as n pair counts, and the product of its
+    marginals, in units of a 4-sigma multinomial envelope.
 
     Sites at distance greater than k are independent, so the defect must
     sit inside the envelope; at distance at most k the process is strictly
     dependent and the defect must break out (required-fail mode, selected
-    by expect_dependent=True or by default when gap <= k).
+    by expect_dependent=True).
     """
-    k = sample.params.k
-    if expect_dependent is None:
-        expect_dependent = gap <= k
-    joint, n = pair_counts(sample, gap, stride)
     pj = joint / n
     pa = pj.sum(axis=1)
     pb = pj.sum(axis=0)
@@ -192,7 +199,7 @@ def independence_defect(sample: ColoringSample, gap: int,
     within = tv <= envelope
     passed = (not within) if expect_dependent else within
     mode = "dependent" if expect_dependent else "independent"
-    return TestReport(f"independence gap={gap} expect-{mode}", float(tv),
+    return TestReport(f"{label} gap={gap} expect-{mode}", float(tv),
                       bool(passed), float(envelope), n,
                       sigma_distance=float(sigma_distance))
 

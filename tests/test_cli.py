@@ -130,6 +130,59 @@ class TestVerifyStat:
         assert rep["sample_size"] >= 20000
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "stat", "--q", "5", "--k", "1", "--threads", "0"],
+        ["verify", "stat", "--q", "5", "--k", "1", "--threads", "-3"],
+        ["verify", "stat", "--q", "5", "--k", "1", "--maxlen", "5"],
+        ["sample", "--q", "5", "--k", "1", "--length", "0"],
+        ["radius", "--q", "5", "--k", "1", "--length", "0"],
+        ["solve-tuning", "--q", "5", "--k", "1", "--precision", "abc"],
+        ["exact", "--q", "5", "--k", "1", "--word", "12", "--precision", "0"],
+    ])
+    def test_exit_two_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err
+        assert "Traceback" not in err
+
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
+        # more shards than CPUs: every shard runs, on at most cpu_count
+        # worker processes
+        import concurrent.futures
+        import os
+        workers, shards = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                shards.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        code, payload = run_json(capsys, "verify", "stat", "--q", "5",
+                                 "--k", "1", "--method", "lehmer",
+                                 "--windows", "5000", "--seed", "5",
+                                 "--threads", "5")
+        assert code in (0, 1)
+        assert workers == [2]
+        assert len(shards) == 5
+        assert payload["params"]["threads"] == 5
+
+
 class TestRadius:
     def test_radius_report(self, capsys):
         code, payload = run_json(capsys, "radius", "--q", "5", "--k", "1",

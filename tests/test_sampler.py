@@ -146,22 +146,26 @@ class TestGammaFromLehmer:
 
 class TestArrivalPeeling:
     def test_peel_completes_on_every_single_bubble(self):
-        # every single-bubble constraint graph admits a full peel, and the
-        # recovered order starts with the two endpoints
-        from mallows_coloring.sampler import _bubble_arrival_from_arcs
+        # on every single-bubble constraint graph the arc-based walk visits
+        # each interior site exactly once, and its gaps and splits
+        # reproduce the graph's arcs
+        from mallows_coloring.sampler import _joined, _splits
         for sigma in all_perms(1, 7):
             graph = constraint_graph(sigma)
             if len(founders(sigma)) != 2:
                 continue
-            order = _bubble_arrival_from_arcs(set(graph.arcs), 1, 7)
-            assert sorted(order) == list(range(1, 8))
-            assert set(order[:2]) == {1, 7}
+            splits = list(_splits([(1, 7)], _joined(graph.arcs)))
+            assert sorted(v for v, _, _ in splits) == list(range(2, 7))
+            arcs = {(1, 7)}
+            for v, lo, hi in splits:
+                arcs.update({(lo, v), (v, hi)})
+            assert arcs == graph.arcs
 
     def test_peel_rejects_non_bubbles(self):
-        from mallows_coloring.sampler import _bubble_arrival_from_arcs
-        arcs = {(1, 2), (2, 3), (3, 4)}  # path: vertices 2, 3 unpeelable
+        from mallows_coloring.sampler import _joined, _splits
+        arcs = {(1, 2), (2, 3), (3, 4)}  # path: no site joined to 1 and 4
         with pytest.raises(ValueError):
-            _bubble_arrival_from_arcs(arcs, 1, 4)
+            list(_splits([(1, 4)], _joined(arcs)))
 
 
 class TestUniformColoring:
