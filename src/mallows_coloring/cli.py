@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import decimal
+import functools
 import io
 import itertools
 import json
@@ -359,14 +360,15 @@ def _cmd_verify_stat(args, parser) -> int:
     all_pass = True
     for method in methods:
         per_shard = max(args.windows // args.threads, 1)
-        shard_args = [(q, k, method, per_shard, args.maxlen,
-                       args.seed + 7919 * s) for s in range(args.threads)]
+        shard = functools.partial(_stat_shard, q, k, method, per_shard,
+                                  args.maxlen)
+        seeds = [args.seed + 7919 * s for s in range(args.threads)]
         if args.threads > 1:
             workers = min(args.threads, os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                shards = list(pool.map(_stat_shard_star, shard_args))
+                shards = list(pool.map(shard, seeds))
         else:
-            shards = [_stat_shard(*a) for a in shard_args]
+            shards = list(map(shard, seeds))
         merged = _merge_shards(shards, args.maxlen, k)
         for m in range(1, args.maxlen + 1):
             exact = building.cylinder_masses(q, m, root)
@@ -385,10 +387,6 @@ def _cmd_verify_stat(args, parser) -> int:
               "maxlen": args.maxlen, "threads": args.threads}
     _emit_json(_envelope("verify-stat", params, args.seed, results), args.out)
     return 0 if all_pass else 1
-
-
-def _stat_shard_star(packed):
-    return _stat_shard(*packed)
 
 
 # ---------------------------------------------------------------------------

@@ -473,7 +473,7 @@ def _lehmer_common(q: int, k: int, length: int, seed: int,
     right = _nearest(zeros_of, length - 1, 1)
     entries = _code_field(seed, left, right, tv, p_zero, zero_stream,
                           tail_stream)
-    return tv, s, left, right, entries, zeros_of
+    return tv, s, left, entries, zeros_of
 
 
 def _fill_blocks(colors: np.ndarray, left: int, entries: np.ndarray, q: int,
@@ -499,7 +499,7 @@ def _fill_blocks(colors: np.ndarray, left: int, entries: np.ndarray, q: int,
 def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
                            t: float | None = None):
     """As lehmer_pipeline_sample, also returning the window's code entries."""
-    tv, s, left, _, entries, _ = _lehmer_common(
+    tv, s, left, entries, _ = _lehmer_common(
         q, k, length, seed, t, S_LEHMER_ZERO, S_LEHMER_TAIL)
     zero_offs = np.flatnonzero(entries == 0)
     colors = np.zeros(len(entries), dtype=np.int64)
@@ -543,7 +543,7 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     ("hops"): the number of steps through the zero set back to the
     resolving site, whose tail is exactly (2/q)^n.
     """
-    tv, s, left, right, entries, zeros_of = _lehmer_common(
+    tv, s, left, entries, zeros_of = _lehmer_common(
         q, k, length, seed, t, S_FFIID_ZERO, S_FFIID_TAIL)
 
     # Walk left through the zero set from the window's left anchor until a
@@ -584,12 +584,13 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     hops = idx - esc_idx
     reset_site = zs[esc_idx]
 
-    colors = np.zeros(right - left + 1, dtype=np.int64)
+    colors = np.zeros(len(entries), dtype=np.int64)
     in_win = zs >= left
     colors[zs[in_win] - left] = zcolors[in_win]
 
     def block_draw(a, values):
-        # Uniforms are indexed by arrival rank within the block.
+        # Uniforms are indexed by the block's arrival order, not by the
+        # order in which _splits visits it: the rank is a draw key.
         word = mix(seed, a, S_FFIID_U)
         order = sorted(range(len(values)), key=values.__getitem__)
         rank = {off: r for r, off in enumerate(order)}
