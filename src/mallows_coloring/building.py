@@ -18,8 +18,8 @@ probabilities of the stationary coloring are B_t(x) / Z(t, q, n) where
 
 sums B_t over all q^n words of length n.  When (q, k, t) satisfies the
 tuning equation, k-dependence is an exact polynomial statement: the defect
-returned by k_dependence_defect reduces to zero modulo the tuning
-polynomial.
+returned by k_dependence_defect vanishes at the tuned root, which
+defect_vanishes decides exactly.
 
 All values are immutable and the pattern memo is only ever extended with
 identical entries, so concurrent callers are safe (a race costs at most a
@@ -188,28 +188,15 @@ class CylinderProb:
     def to_float(self) -> float:
         return float(self.midpoint_value())
 
-    def equals_fraction(self, value: Fraction,
-                        tolerance: Fraction = Fraction(1, 10**30)) -> bool:
-        """Certify numerator/denominator == value at the tuned parameter.
-
-        First reduces numerator * value.den - denominator * value.num modulo
-        the tuning polynomial; a zero remainder is an exact certificate.
-        Otherwise the difference is boxed on a refined isolating interval and
-        must straddle zero within `tolerance`.
-        """
+    def equals_fraction(self, value: Fraction) -> bool:
+        """Decide exactly whether numerator/denominator == value at the
+        tuned parameter: numerator * value.den - denominator * value.num
+        must vanish there (see defect_vanishes)."""
         if self.at is None:
             raise ValueError("no tuned parameter attached")
         value = Fraction(value)
         diff = self.numerator * value.denominator - self.denominator * value.numerator
-        if poly_remainder(diff, self.at.poly).is_zero():
-            return True
-        tight = self.at.refine(tolerance / max(1, _coeff_scale(diff)))
-        lo, hi = interval_enclosure(diff, tight.lo, tight.hi)
-        return lo <= 0 <= hi and hi - lo < tolerance
-
-
-def _coeff_scale(p: RatPoly) -> int:
-    return int(sum(abs(c) for c in p.coeffs)) + 1
+        return defect_vanishes(diff, self.at)
 
 
 def cylinder_prob(x: Word, tq: AlgebraicT | Fraction) -> CylinderProb:
@@ -254,10 +241,8 @@ def k_dependence_defect(x: Word, y: Word, q: int, k: int) -> RatPoly:
         E(t) = [k+1]_t^k * B_t(x *^k y)
              - [k]!_t * q^k * binom(m+n+2k, m+k)_t * B_t(x) * B_t(y),
 
-    with m = |x| and n = |y|.  Callers certify
-    poly_remainder(E, tuning_poly(q, k)) == 0, falling back to an exact
-    interval enclosure around the isolated root when the remainder is not
-    identically zero.
+    with m = |x| and n = |y|.  Callers decide its vanishing with
+    defect_vanishes.
     """
     m, n = len(x), len(y)
     lhs = t_int(k + 1) ** k * star_sum(x, y, q, k)
@@ -266,22 +251,21 @@ def k_dependence_defect(x: Word, y: Word, q: int, k: int) -> RatPoly:
     return lhs - rhs
 
 
-def defect_vanishes(defect: RatPoly, tq: AlgebraicT,
-                    tolerance: Fraction = Fraction(1, 10**30)) -> bool:
-    """Certify that a defect polynomial vanishes at the tuned parameter.
+def defect_vanishes(defect: RatPoly, tq: AlgebraicT) -> bool:
+    """Decide exactly whether a polynomial vanishes at the tuned parameter.
 
-    Zero remainder modulo the tuning polynomial is an exact proof; otherwise
-    the defect is evaluated with exact rational interval arithmetic on a
-    refined isolating interval and must straddle zero with width below
-    `tolerance`.
+    With p = tq.poly, g = gcd(p, defect mod p) has as its roots exactly the
+    roots of p at which the defect vanishes, so the defect vanishes at the
+    root t* isolated by [tq.lo, tq.hi] iff g changes sign on that interval.
+    This needs every root of p to be simple and t* to be the only one in
+    the interval, which the code does not show: the coefficients of
+    p = q t [k]_t - [2]_t [k+1]_t are -1, q-2, ..., q-2, -1, with two sign
+    changes, so p has at most two positive roots (Descartes' rule, which
+    counts multiplicity); p(0) < 0 < p(1) and p -> -infinity place one in
+    (0, 1) and one in (1, infinity), both simple.
     """
-    if poly_remainder(defect, tq.poly).is_zero():
-        return True
-    if defect.is_zero():
-        return True
-    tight = tq.refine(tolerance / (_coeff_scale(defect) * (defect.degree + 1)))
-    lo, hi = interval_enclosure(defect, tight.lo, tight.hi)
-    return lo <= 0 <= hi and hi - lo < tolerance
+    g = tq.poly.gcd(poly_remainder(defect, tq.poly))
+    return (g.evaluate(tq.lo) < 0) != (g.evaluate(tq.hi) < 0)
 
 
 def z_closed_form_defect(q: int, k: int, n: int) -> RatPoly:
@@ -289,7 +273,8 @@ def z_closed_form_defect(q: int, k: int, n: int) -> RatPoly:
 
         [k+1]_t^n * Z(t, q, n) - [n]!_t * q^n * binom(k+n, k)_t,
 
-    reduced modulo the tuning polynomial by callers and asserted zero.
+    which callers assert vanishes at the tuned parameter with
+    defect_vanishes.
     """
     if q * k <= 2 * (k + 1):
         raise NoSolutionError(
@@ -303,29 +288,16 @@ def converse_scan(q: int, t: Fraction | AlgebraicT, k_max: int) -> list[int]:
 
         q t^k' [k']_t - t^(k'-1) [2]_t [k'+1]_t
 
-    vanishes at t.  For an exact rational t the factors are evaluated
-    exactly; for an isolated algebraic t a factor counts as vanishing iff it
-    changes sign across the (refined) isolating interval.  At a tuned
-    parameter the result is exactly {k}; at most one order can appear for
-    any (q, t).
+    vanishes at t, decided exactly: by evaluation at a rational t, by
+    defect_vanishes at an isolated algebraic t.  At a tuned parameter the
+    result is exactly {k}; at most one order can appear for any (q, t).
     """
-    if k_max < 1:
-        return []
-    hits = []
     if isinstance(t, AlgebraicT):
-        box = t.refine(min(t.precision, Fraction(1, 10**30)))
-        for kk in range(1, k_max + 1):
-            factor = tuning_poly(q, kk)
-            slo = factor.evaluate(box.lo)
-            shi = factor.evaluate(box.hi)
-            if slo == 0 or shi == 0 or (slo < 0) != (shi < 0):
-                hits.append(kk)
-        return hits
+        return [kk for kk in range(1, k_max + 1)
+                if defect_vanishes(tuning_poly(q, kk), t)]
     t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError("scan needs 0 < t < 1")
-    for kk in range(1, k_max + 1):
-        # The t^(k'-1) prefactor never vanishes on (0, 1).
-        if tuning_poly(q, kk).evaluate(t) == 0:
-            hits.append(kk)
-    return hits
+    # The t^(k'-1) prefactor never vanishes on (0, 1).
+    return [kk for kk in range(1, k_max + 1)
+            if tuning_poly(q, kk).evaluate(t) == 0]

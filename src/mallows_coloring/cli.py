@@ -353,13 +353,16 @@ def _merge_shards(shards: list[dict], max_len: int, k: int) -> dict:
 
 def _cmd_verify_stat(args, parser) -> int:
     _require_admissible(parser, args.q, args.k)
+    if args.threads > args.windows:
+        parser.error(f"argument --threads: {args.threads} shards for "
+                     f"{args.windows} windows; at most --windows allowed")
     q, k = args.q, args.k
     methods = list(_PIPELINES) if args.method == "all" else [args.method]
     root = tpoly.solve_tuning(q, k)
     reports = []
     all_pass = True
     for method in methods:
-        per_shard = max(args.windows // args.threads, 1)
+        per_shard = args.windows // args.threads
         shard = functools.partial(_stat_shard, q, k, method, per_shard,
                                   args.maxlen)
         seeds = [args.seed + 7919 * s for s in range(args.threads)]
@@ -469,10 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps, seed=True)
     ps.add_argument("--method", choices=["all"] + sorted(_PIPELINES),
                     default="all")
-    ps.add_argument("--windows", type=int, default=200_000)
+    ps.add_argument("--windows", type=_positive_int, default=200_000)
     ps.add_argument("--maxlen", type=int, choices=range(1, 5), default=3)
     ps.add_argument("--threads", type=_positive_int, default=1,
-                    help="shards; at most os.cpu_count() run at once")
+                    help="shards, at most --windows; at most "
+                         "os.cpu_count() run at once")
     ps.set_defaults(fn=_cmd_verify_stat)
 
     p = sub.add_parser("radius", help="coding-radius diagnostics (ffiid)")

@@ -149,7 +149,7 @@ def sample(spec: GeomSpec, rng: np.random.Generator, size: int | None = None):
             # independent of u.
             rescaled = (us[tail] - p0) / (1 - p0)
             out[tail] = 1 + np.floor(
-                np.log1p(-rescaled * (1 - 1e-18)) / math.log(t)).astype(np.int64)
+                np.log1p(-rescaled) / math.log(t)).astype(np.int64)
     return int(out[0]) if scalar else out
 
 
@@ -181,18 +181,26 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
         raise ValueError("needs u >= 1")
     n0 = math.log(u * (1 - t) / (1 - s)) / math.log(s / t)
     st, tt, ut = Fraction(s), Fraction(t), Fraction(u)
-    results: dict[int, bool] = {}
-    for n in range(max(1, math.ceil(n0)), n_max + 1):
-        results[n] = _dominates(st, tt, ut, n)
+    verdicts = {n: _dominates(st, tt, ut, n) for n in range(1, n_max + 1)}
+    checked = {n: verdicts[n] for n in range(max(1, math.ceil(n0)), n_max + 1)}
     holds_from = None
     for n in range(n_max, 0, -1):
-        if not _dominates(st, tt, ut, n):
+        if not verdicts[n]:
             break
         holds_from = n
-    return DominanceReport(n0=n0, checked=results, holds_from=holds_from)
+    return DominanceReport(n0=n0, checked=checked, holds_from=holds_from)
 
 
 def _dominates(s: Fraction, t: Fraction, u: Fraction, n: int) -> bool:
-    upper = GeomSpec(GeomVariant.TRUNCATED, s, trunc=n)
-    lower = GeomSpec(GeomVariant.END_WEIGHTED, t, u, trunc=n)
-    return all(cdf(upper, r) <= cdf(lower, r) for r in range(n + 1))
+    """cdf(upper, r) <= cdf(lower, r) for every r, compared as running
+    prefix sums cross-multiplied by the two totals."""
+    upper = weights(GeomSpec(GeomVariant.TRUNCATED, s, trunc=n))
+    lower = weights(GeomSpec(GeomVariant.END_WEIGHTED, t, u, trunc=n))
+    total_up, total_low = sum(upper), sum(lower)
+    up = low = Fraction(0)
+    for a, b in zip(upper, lower):
+        up += a
+        low += b
+        if up * total_low > low * total_up:
+            return False
+    return True

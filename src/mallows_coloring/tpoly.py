@@ -130,6 +130,14 @@ class RatPoly:
                 rem[i - dn + j] -= f * d
         return RatPoly(tuple(quot)), RatPoly(tuple(rem[:dn] if dn > 0 else ()))
 
+    def gcd(self, other: RatPoly) -> RatPoly:
+        """Monic greatest common divisor by Euclid's algorithm; zero only
+        when both operands are zero."""
+        a, b = self, _coerce(other)
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        return a * (1 / a.coeffs[-1]) if a.coeffs else ZERO
+
     def evaluate(self, x: Fraction) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         x = _as_fraction(x)
@@ -281,21 +289,7 @@ class AlgebraicT:
 
     def refine(self, precision: Fraction) -> AlgebraicT:
         """Bisect further until the interval width is at most `precision`."""
-        precision = _as_fraction(precision)
-        if precision <= 0:
-            raise ValueError("precision must be positive")
-        lo, hi = self.lo, self.hi
-        slo = self.poly.evaluate(lo)
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            smid = self.poly.evaluate(mid)
-            if smid == 0:
-                raise ArithmeticError("tuning root unexpectedly rational")
-            if (smid < 0) == (slo < 0):
-                lo, slo = mid, smid
-            else:
-                hi = mid
-        return AlgebraicT(self.q, self.k, self.poly, lo, hi, precision)
+        return _bisect(self.q, self.k, self.poly, self.lo, self.hi, precision)
 
 
 def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
@@ -307,16 +301,22 @@ def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
     """
     if isinstance(precision, str):
         precision = Fraction(precision)
-    precision = _as_fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
     if q * k <= 2 * (k + 1):
         raise NoSolutionError(
             f"no parameter in (0,1) for q={q}, k={k}: requires qk>2(k+1)")
     p = tuning_poly(q, k)
-    lo, hi = Fraction(0), Fraction(1)
-    slo = p.evaluate(lo)   # always -1
-    assert slo < 0 < p.evaluate(hi)
+    assert p.evaluate(0) < 0 < p.evaluate(1)
+    return _bisect(q, k, p, Fraction(0), Fraction(1), precision)
+
+
+def _bisect(q: int, k: int, p: RatPoly, lo: Fraction, hi: Fraction,
+            precision) -> AlgebraicT:
+    """Halve [lo, hi], across which p changes sign, until it is at most
+    `precision` wide and lies strictly inside (0, 1)."""
+    precision = _as_fraction(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    slo = p.evaluate(lo)
     while hi - lo > precision or lo == 0 or hi == 1:
         mid = (lo + hi) / 2
         smid = p.evaluate(mid)

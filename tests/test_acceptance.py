@@ -24,8 +24,7 @@ from mallows_coloring.perm import (Perm, all_perms, color_count,
                                    is_proper_building, lehmer_code)
 from mallows_coloring.sampler import (lehmer_marginal_at_origin,
                                       painting_sample, tuned_parameters)
-from mallows_coloring.tpoly import (ZERO, poly_remainder, solve_tuning,
-                                    t_int, tuning_poly)
+from mallows_coloring.tpoly import ZERO, solve_tuning, t_int, tuning_poly
 from mallows_coloring.verify import (chi_square_against_exact,
                                      estimate_cylinders, independence_defect,
                                      tail_fit)
@@ -94,21 +93,18 @@ def test_criterion_4_exact_k_dependence():
     worked = k_dependence_defect(Word.from_string("1", 5),
                                  Word.from_string("2", 5), 5, 1)
     assert worked == 2 * t_int(3) * tuning_poly(5, 1)
-    fallbacks = 0
+    count = 0
     for k, q in PAIRS:
         root = solve_tuning(q, k)
         for m in range(5):
             for n in range(5 - m):
                 for x in all_words(q, m):
                     for y in all_words(q, n):
-                        defect = k_dependence_defect(x, y, q, k)
-                        if not poly_remainder(defect, root.poly).is_zero():
-                            fallbacks += 1
-                            assert defect_vanishes(defect, root,
-                                                   Fraction(1, 10**30))
-    announce(4, "k-dependence defect reduces to zero mod the tuning polynomial "
-                f"for all word pairs |x|+|y| <= 4, pairs {PAIRS} "
-                f"({fallbacks} interval fallbacks)")
+                        assert defect_vanishes(k_dependence_defect(x, y, q, k),
+                                               root)
+                        count += 1
+    announce(4, "k-dependence defect vanishes exactly at the tuned root "
+                f"for all {count} word pairs |x|+|y| <= 4, pairs {PAIRS}")
 
 
 def test_criterion_5_tuning_roots():

@@ -222,6 +222,9 @@ class TestConverseScan:
     def test_tuned_root_4_2(self):
         assert converse_scan(4, solve_tuning(4, 2), 6) == [2]
 
+    def test_tuned_root_3_3(self):
+        assert converse_scan(3, solve_tuning(3, 3), 6) == [3]
+
     def test_rational_point_empty(self):
         assert converse_scan(5, Fraction(1, 2), 6) == []
 
@@ -235,6 +238,25 @@ class TestConverseScan:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             converse_scan(5, Fraction(3, 2), 4)
+
+
+class TestDefectVanishes:
+    @pytest.mark.parametrize("q,k", [(5, 1), (4, 2)])
+    def test_tiny_offset_rejected(self, q, k):
+        # the value at t* is 1e-40: nonzero, so the answer is no
+        near = tuning_poly(5, 1) + Fraction(1, 10**40)
+        assert not defect_vanishes(near, solve_tuning(q, k))
+
+    def test_vanishes_through_a_factor(self):
+        # p(5,1) divides p(4,2) = (1+t) p(5,1), so its remainder modulo
+        # p(4,2) is itself, yet it vanishes at t(4,2)
+        root = solve_tuning(4, 2)
+        assert not poly_remainder(tuning_poly(5, 1), root.poly).is_zero()
+        assert defect_vanishes(tuning_poly(5, 1), root)
+
+    def test_other_factor_does_not_vanish(self):
+        # the cofactor 1 + t of p(4,2) vanishes only at -1
+        assert not defect_vanishes(t_int(2), solve_tuning(4, 2))
 
 
 def test_cylinder_prob_denominator_guard():

@@ -139,6 +139,9 @@ class TestUsageErrors:
         ["radius", "--q", "5", "--k", "1", "--length", "0"],
         ["solve-tuning", "--q", "5", "--k", "1", "--precision", "abc"],
         ["exact", "--q", "5", "--k", "1", "--word", "12", "--precision", "0"],
+        ["verify", "stat", "--q", "5", "--k", "1", "--windows", "0"],
+        ["verify", "stat", "--q", "5", "--k", "1", "--windows", "10",
+         "--threads", "2000"],
     ])
     def test_exit_two_without_traceback(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -139,6 +139,18 @@ class TestSample:
             sigma = math.sqrt(p * (1 - p) * n)
             assert abs(counts[j] - n * p) < 4 * sigma
 
+    @pytest.mark.parametrize("t,u", [(0.5, 1.0), (0.4, 4 / 3), (0.9, 0.25),
+                                     (0.05, 1.0)])
+    def test_infinite_variant_at_largest_uniform(self, t, u):
+        # the largest float below 1 must still give a finite tail draw
+        class Top:
+            def random(self, n):
+                return np.full(n, 1 - 2.0**-53)
+
+        spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, t, u)
+        draw = sample(spec, Top())
+        assert 1 <= draw <= 1 + 53 / -math.log2(t)
+
 
 class TestDominance:
     def test_reference_case(self):

@@ -175,6 +175,34 @@ class TestSolveTuning:
         assert tighter.hi - tighter.lo <= Fraction(1, 2**40)
         assert root.lo <= tighter.lo < tighter.hi <= root.hi
 
+    def test_refine_continues_solve_bisection(self):
+        # one bisection loop: refining a coarse bracket lands on the bracket
+        # a direct solve at the finer precision returns
+        for q, k in ((5, 1), (4, 2), (3, 3)):
+            coarse = solve_tuning(q, k, Fraction(1, 2**10))
+            fine = solve_tuning(q, k)
+            assert coarse.refine(fine.precision) == fine
+
+
+class TestGcd:
+    def test_common_factor_is_monic(self):
+        a = poly(2, 4, 2)              # 2 (1+t)^2
+        b = poly(3, 9, 6)              # 3 (1+t)(1+2t)
+        assert a.gcd(b) == poly(1, 1)
+        assert b.gcd(a) == poly(1, 1)
+
+    def test_coprime_gives_one(self):
+        assert tuning_poly(5, 1).gcd(tuning_poly(5, 1) + 1) == ONE
+
+    def test_zero_operands(self):
+        assert poly(4, -2).gcd(ZERO) == poly(-2, 1)
+        assert ZERO.gcd(poly(3)) == ONE
+        assert ZERO.gcd(ZERO) == ZERO
+
+    def test_reducible_tuning_polynomial(self):
+        # p(4,2) = (1+t) p(5,1), and p(5,1) is monic up to sign
+        assert tuning_poly(4, 2).gcd(tuning_poly(5, 1)) == -tuning_poly(5, 1)
+
 
 class TestAlgebraicT:
     def test_validates_sign_change(self):
