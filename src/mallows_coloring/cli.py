@@ -46,6 +46,19 @@ def decimal_str(value: Fraction, digits: int = 12) -> str:
         return str(d)
 
 
+def _enclosed_decimal(prob: building.CylinderProb, digits: int = 12) -> str:
+    """The value of prob at its tuned t to the significant digits, at most
+    `digits` and at least one, on which its whole enclosure over the
+    isolating interval of t agrees."""
+    lo, hi = prob.at.lo, prob.at.hi
+    nlo, nhi = tpoly.interval_enclosure(prob.numerator, lo, hi)
+    dlo, dhi = tpoly.interval_enclosure(prob.denominator, lo, hi)
+    ends = [n / d for n in (nlo, nhi) for d in (dlo, dhi)]
+    fixed = next((d for d in range(digits, 1, -1)
+                  if decimal_str(min(ends), d) == decimal_str(max(ends), d)), 1)
+    return decimal_str(prob.midpoint_value(), fixed)
+
+
 def _poly_strings(p: tpoly.RatPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
@@ -138,7 +151,7 @@ def _cmd_exact(args, parser) -> int:
         "word": list(word.chars),
         "numerator": _poly_strings(prob.numerator),
         "denominator": _poly_strings(prob.denominator),
-        "decimal": decimal_str(prob.midpoint_value()),
+        "decimal": _enclosed_decimal(prob),
         "exact_fraction": str(exact) if exact is not None else None,
     }
     _emit_json(_envelope("exact", {"q": args.q, "k": args.k, "word": args.word},

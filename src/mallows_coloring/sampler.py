@@ -20,12 +20,17 @@ in `streams`, so extending a window never changes already-drawn sites and
 runs reproduce bit for bit.
 
 Every gap between two colored sites is filled along the Cartesian tree of
-its arrival times (Vuillemin 1980): `_splits` walks the tree, and `_fill`
-colors each site uniformly among the q - 2 colors differing from its two
-nearest earlier arrivals.  The draws are keyed by what they decide, never
-by when they are made, so the order in which the walk visits the tree can
-change without changing any output.  These keys are part of the stable
-seed interface:
+its arrival times (Vuillemin 1980).  `_splits` walks the trees of all gaps
+in a window together, one tree level at a time, with numpy arrays of gap
+endpoints; `first(lo, hi)` names each gap's first arrival (painting draws
+its geometric split, lehmer and ffiid read the arrival order that
+`_arrival` computes for every block at once).  Gaps with one interior site
+skip `first` and are filled in one last pass.  `_fill` colors each level's
+sites uniformly among the q - 2 colors differing from their two nearest
+earlier arrivals, from one pick per site hashed before the walk.  The
+draws are keyed by what they decide, never by when they are made, so the
+level-by-level walk gives the same output as a site-by-site one.  These
+keys are part of the stable seed interface:
 
   * painting: the split site of gap (a, b) from u01(seed, a, b,
     S_PAINT_SPLIT), the color of a site from u01(seed, site, S_PAINT_COLOR);
@@ -46,9 +51,12 @@ import math
 import numpy as np
 
 from . import dist
-from .perm import (ConstraintGraph, LehmerSeq, Perm, decode_insertion,
+# decrement_cycle_values, mix and u01_from_word are the scalar forms of what
+# _arrival and the ffiid draws compute; they stay importable from here.
+from .perm import (ConstraintGraph, LehmerSeq, Perm, decode_insertion,  # noqa: F401
                    decode_lehmer, decrement_cycle_values)
-from .streams import mix, u01, u01_array, u01_from_word
+from .streams import (mix, mix_keys, u01, u01_array, u01_from_word,  # noqa: F401
+                      u01_from_words, u01_keys, u01_next)
 from .tpoly import solve_tuning
 from .words import Word
 
@@ -211,64 +219,162 @@ def lehmer_marginal_at_origin(n: int, t: float, u: float,
 # Cartesian-tree gap filling
 
 
-def _splits(gaps, first):
-    """Walk the Cartesian trees of arrival times over the gaps (a, b).
+def _splits(lo: np.ndarray, hi: np.ndarray, first):
+    """Walk the Cartesian trees of arrival times over the disjoint,
+    increasing gaps (lo[j], hi[j]) one tree level at a time.
 
-    Yields (v, lo, hi) once for every site v strictly inside a gap: lo and
-    hi are v's nearest earlier arrivals, and `first(lo, hi)` names v, the
-    first arrival strictly between them.
+    Yields arrays (v, lo, hi), v[j] strictly inside the gap with nearest
+    earlier arrivals lo[j] and hi[j]; first(lo, hi) names the first arrival
+    strictly inside each gap of a level.  Gaps with one interior site skip
+    `first` and are yielded last, all at once.
     """
-    for a, b in gaps:
-        stack = [(a, b)] if b - a >= 2 else []
-        while stack:
-            lo, hi = stack.pop()
-            v = first(lo, hi)
-            yield v, lo, hi
-            if v - lo >= 2:
-                stack.append((lo, v))
-            if hi - v >= 2:
-                stack.append((v, hi))
+    leaves = [lo[:0]]
+    while len(lo):
+        width = hi - lo
+        leaves.append(lo[width == 2])
+        wide = width > 2
+        lo, hi = lo[wide], hi[wide]
+        if not len(lo):
+            break
+        v = first(lo, hi)
+        yield v, lo, hi
+        lo, hi = np.array((lo, v)).T.ravel(), np.array((v, hi)).T.ravel()
+    leaf = np.concatenate(leaves)
+    yield leaf + 1, leaf, leaf + 2
 
 
-def _fill(colors: np.ndarray, base: int, splits, q: int, draw) -> None:
-    """Color each split site v uniformly among the q - 2 colors differing
-    from both its flanks lo and hi, which must already be colored in
-    `colors` (offset by `base`); draw(v) supplies the uniform."""
+def _fill(colors: np.ndarray, splits) -> None:
+    """Color the split sites level by level, in place.  Until then
+    colors[v] holds v's pick, uniform in 1..q-2; raising it past each flank
+    color it reaches makes it uniform among the q - 2 others."""
     for v, lo, hi in splits:
-        cl, ch = colors[lo - base], colors[hi - base]
-        if cl > ch:
-            cl, ch = ch, cl
-        c = int(draw(v) * (q - 2)) + 1
-        if c >= cl:
-            c += 1
-        if c >= ch:
-            c += 1
-        colors[v - base] = c
+        cl, ch = colors[lo], colors[hi]
+        c = colors[v]
+        c += c >= np.minimum(cl, ch)
+        c += c >= np.maximum(cl, ch)
+        colors[v] = c
 
 
-def _earliest(values: list[int], a: int):
-    """first(lo, hi) for the block starting at site a whose arrival times
-    are `values`: the site strictly between lo and hi arriving first."""
+def _picks(u: np.ndarray, q: int) -> np.ndarray:
+    """Color picks in 1..q-2 from uniforms (consumes u)."""
+    u *= q - 2
+    return u.astype(np.uint8) + 1
+
+
+def _split_offset(u: float, g: int, t: float) -> int:
+    """Offset in 0..g-1 of the split site of a painting gap with g interior
+    sites: P(offset m) is proportional to t^m, drawn by inversion of u."""
+    m = int(math.floor(math.log1p(-u * (1.0 - t**g)) / math.log(t)))
+    return min(max(m, 0), g - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _split_scales(t: float, gmax: int) -> np.ndarray:
+    """-(1 - t^g) for g = 0..gmax, computed as _split_offset computes it."""
+    scales = np.array([-(1.0 - t**g) for g in range(gmax + 1)])
+    scales.setflags(write=False)
+    return scales
+
+
+def _split_offsets(u: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
+    """_split_offset over arrays, bit for bit.  numpy's log1p may differ
+    from math's in the last bits, so a quotient within 1e-9 g of an integer
+    (rare; it includes the quotient g, which the clamp lowers) is
+    recomputed by the scalar formula."""
+    gmax = int(g.max())
+    ratio = u * _split_scales(t, gmax)[g]
+    np.log1p(ratio, out=ratio)
+    ratio /= math.log(t)
+    m = np.floor(ratio)
+    ratio -= m
+    tol = 1e-9 * gmax
+    close = np.flatnonzero((ratio < tol) | (ratio > 1.0 - tol))
+    m = m.astype(np.int64)
+    for j in close.tolist():
+        m[j] = _split_offset(float(u[j]), int(g[j]), t)
+    return m
+
+
+def _arrival(entries: np.ndarray, zeros: np.ndarray):
+    """Arrival order in every block between consecutive `zeros` of a code
+    field, whose entries may exceed the in-block bounds.
+
+    The arrival times of a block a..b are decrement_cycle_values of
+    entries[a..b] (a and b come first).  Its cycles act on the interior
+    sites of all blocks together, one cycle index per numpy step, longest
+    blocks first so the active prefix shrinks; one sort then orders each
+    block.  Returns (order, za, g): the interior sites block by block, each
+    in arrival order, and the blocks' left zeros and interior sizes.
+    """
+    g = zeros[1:] - zeros[:-1]
+    g -= 1
+    by_size = np.argsort(-g)[:np.count_nonzero(g)]
+    za, g = zeros[by_size], g[by_size]
+    ends = np.cumsum(g)
+    # Site arrays are int32 but for w, which large entries push far down.
+    blk = np.repeat(np.arange(len(g), dtype=np.int32), g)
+    within = np.arange(len(blk), dtype=np.int32)
+    within -= (ends - g)[blk]
+    # w = b - (value) for the block's right zero b; the cycle at b - d moves
+    # the values of (b - d, b - d + e] down by one and b - d up to b - d + e.
+    w = g[blk] - within
+    right = (za + g + 1).astype(np.int32)[blk]
+    longest = int(g[0]) if len(g) else 0
+    steps = np.arange(1, longest + 1)
+    active = ends[np.searchsorted(-g, -steps, side="right") - 1]
+    for d, m in zip(steps.tolist(), active.tolist()):
+        ww = w[:m]
+        low = d - entries[right[:m] - d]
+        top = ww == d
+        ww += (ww < d) & (ww >= low)
+        ww[top] = low[top]
+    del right
+    if longest > 1:
+        # by block, then by value (w descending)
+        span = int(w.max()) - int(w.min()) + 1
+        if span * len(g) < 2**31:
+            key = blk * span
+            key -= w
+            order = np.argsort(key)
+        else:
+            order = np.lexsort((-w, blk))
+        within = within[order]
+    order = within
+    order += (za + 1)[blk]
+    return order, za, g
+
+
+def _earliest(order: np.ndarray, n: int):
+    """first(lo, hi) for gaps inside the blocks of a code field of n sites,
+    `order` as _arrival returns it: the interior site arriving first."""
+    key = np.zeros(n, dtype=np.int32)
+    key[order] = np.arange(len(order), dtype=np.int32)
+
     def first(lo, hi):
-        inner = values[lo + 1 - a:hi - a]
-        return lo + 1 + inner.index(min(inner))
+        bounds = np.array((lo + 1, hi)).T.ravel()[:-1]
+        return order[np.minimum.reduceat(key[:int(hi[-1])], bounds)[::2]]
     return first
 
 
-def _joined(arcs):
-    """first(lo, hi) read off a constraint graph's arcs: the one site
-    strictly between lo and hi joined by arcs to both.  Raises ValueError
-    when there is no such site, as for arcs that do not form bubbles."""
+def _joined(arcs, base: int = 0):
+    """first(lo, hi) read off a constraint graph's arcs, shifted by -base:
+    the one site strictly between lo and hi joined by arcs to both.  Raises
+    ValueError when there is no such site, as for arcs that do not form
+    bubbles."""
     nbrs = collections.defaultdict(set)
     for i, j in arcs:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
+        nbrs[i - base].add(j - base)
+        nbrs[j - base].add(i - base)
 
-    def first(lo, hi):
+    def one(lo, hi):
         both = [v for v in nbrs[lo] & nbrs[hi] if lo < v < hi]
         if len(both) != 1:
             raise ValueError("arc set is not a single bubble of a constraint graph")
         return both[0]
+
+    def first(lo, hi):
+        return np.array([one(a, b) for a, b in zip(lo.tolist(), hi.tolist())],
+                        dtype=np.int64)
     return first
 
 
@@ -276,19 +382,20 @@ def _joined(arcs):
 # Constraint graphs from code fields
 
 
-def _block_arc_list(entries, a: int) -> list[tuple[int, int]]:
-    """Non-consecutive arcs of the bubble spanned by one zero-delimited block.
+def _bubble_arcs(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-consecutive arcs (lo, hi), as offsets, of every bubble between
+    consecutive zeros of a code field.
 
-    entries runs over [a, b] with zeros at both ends.  Interior entries may
-    exceed the in-block code bounds; only the relative arrival order on the
-    block matters, and that is read off the decrement-cycle composition.
-    The arcs are exactly the gaps the Cartesian tree of that order splits.
+    Interior entries may exceed the in-block code bounds; only the relative
+    arrival order in each block matters.  The arcs are exactly the gaps the
+    Cartesian trees of those orders split.
     """
-    if len(entries) < 3:
-        return []
-    values = decrement_cycle_values(entries, a, "lehmer")
-    return [(lo, hi) for _, lo, hi in
-            _splits([(a, a + len(values) - 1)], _earliest(values, a))]
+    zeros = np.flatnonzero(entries == 0)
+    order, _, _ = _arrival(entries, zeros)
+    gaps = [(lo, hi) for _, lo, hi in
+            _splits(zeros[:-1], zeros[1:], _earliest(order, len(entries)))]
+    return (np.concatenate([lo for lo, _ in gaps]),
+            np.concatenate([hi for _, hi in gaps]))
 
 
 def gamma_from_lehmer(entries, start: int) -> ConstraintGraph:
@@ -299,16 +406,15 @@ def gamma_from_lehmer(entries, start: int) -> ConstraintGraph:
     so the graph restricted to any sub-window is unchanged when the window
     grows.
     """
-    entries = [int(e) for e in entries]
+    entries = np.array([int(e) for e in entries], dtype=np.int64)
     if len(entries) < 2:
         raise ValueError("need a window of at least two sites")
     if entries[0] != 0 or entries[-1] != 0:
         raise ValueError("window endpoints must be zeros of the code field")
     n = len(entries)
     arcs = {(start + i, start + i + 1) for i in range(n - 1)}
-    zeros = [i for i, e in enumerate(entries) if e == 0]
-    for za, zb in zip(zeros, zeros[1:]):
-        arcs.update(_block_arc_list(entries[za:zb + 1], start + za))
+    lo, hi = _bubble_arcs(entries)
+    arcs.update(zip((lo + start).tolist(), (hi + start).tolist()))
     return ConstraintGraph(start, n, frozenset(arcs))
 
 
@@ -319,75 +425,113 @@ def uniform_coloring(graph: ConstraintGraph, q: int,
     Bubble-endpoint colors follow a stationary walk on the complete graph
     (first endpoint uniform, each next uniform over the other q - 1 colors);
     each bubble is then filled conditionally uniformly given its endpoint
-    colors, along an arrival order read off its arcs.
+    colors, along an arrival order read off its arcs, from one uniform per
+    site drawn after the walk.
     """
     if q < 3:
         raise ValueError("need q >= 3")
-    eps = graph.bubble_endpoints()
-    colors = np.zeros(graph.n, dtype=np.int64)
-    c = int(rng.random() * q) + 1
-    colors[eps[0] - graph.start] = c
-    for e in eps[1:]:
+    eps = np.asarray(graph.bubble_endpoints(), dtype=np.int64) - graph.start
+    walk = [int(rng.random() * q) + 1]
+    for _ in eps[1:]:
         step = int(rng.random() * (q - 1)) + 1
-        c = (c - 1 + step) % q + 1
-        colors[e - graph.start] = c
-    splits = _splits(zip(eps, eps[1:]), _joined(graph.arcs))
-    _fill(colors, graph.start, splits, q, lambda v: rng.random())
-    return Word(graph.start, tuple(int(c) for c in colors), q)
+        walk.append((walk[-1] - 1 + step) % q + 1)
+    colors = _picks(rng.random(graph.n), q)
+    colors[eps] = walk
+    _fill(colors, _splits(eps[:-1], eps[1:], _joined(graph.arcs, graph.start)))
+    return Word(graph.start, tuple(colors.tolist()), q)
 
 
 # ---------------------------------------------------------------------------
 # Site fields and window extension
 
-
-def _code_field(seed: int, lo: int, hi: int, t: float, p_zero: float,
-                zero_stream: int, tail_stream: int) -> np.ndarray:
-    """Zero-weighted geometric code entries on sites lo..hi inclusive."""
-    sites = np.arange(lo, hi + 1, dtype=np.int64)
-    uz = u01_array(seed, sites, zero_stream)
-    out = np.zeros(len(sites), dtype=np.int64)
-    positive = uz >= p_zero
-    if t > 0 and positive.any():
-        ut = u01_array(seed, sites[positive], tail_stream)
-        out[positive] = 1 + np.floor(np.log(ut) / math.log(t)).astype(np.int64)
-    return out
+#: Sites hashed beyond each end of the window to find the nearest anchors.
+_MARGIN = 32
+#: Painting draws the splits of a tree level with at most this many gaps by
+#: the scalar rule, which is cheaper there than a numpy pass.
+_FEW_GAPS = 6
 
 
-def _hits(seed: int, stream: int, p: float):
-    """hit(lo, hi): the sites of [lo, hi], increasing, whose uniform on
-    `stream` falls below p."""
-    def hit(lo, hi):
-        sites = np.arange(lo, hi + 1, dtype=np.int64)
-        return sites[u01_array(seed, sites, stream) < p]
-    return hit
+def _mask(seed: int, stream: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """Whether the uniform on `stream` of each site lo..hi falls below p."""
+    return u01_array(seed, np.arange(lo, hi + 1, dtype=np.int64), stream) < p
 
 
-def _nearest(hit, first: int, step: int) -> int:
-    """Nearest hit at or beyond `first` in direction `step` (-1 leftward,
-    +1 rightward), scanned in _CHUNK-site windows.  Raises after
-    EXTENSION_CAP sites."""
+def _nearest(seed: int, stream: int, p: float, first: int, step: int) -> int:
+    """Nearest site at or beyond `first` in direction `step` (-1 leftward,
+    +1 rightward) whose uniform on `stream` falls below p, scanned in
+    _CHUNK-site windows.  Raises after EXTENSION_CAP sites."""
     for near in range(first, first + step * (EXTENSION_CAP + 1), step * _CHUNK):
-        far = near + step * (_CHUNK - 1)
-        hits = hit(min(near, far), max(near, far))
+        lo, hi = sorted((near, near + step * (_CHUNK - 1)))
+        hits = np.flatnonzero(_mask(seed, stream, p, lo, hi))
         if len(hits):
-            return int(hits[0] if step > 0 else hits[-1])
+            return lo + int(hits[0] if step > 0 else hits[-1])
     raise RuntimeError("window extension exceeded cap; parameters degenerate")
 
 
-def _walk_colors(seed: int, sites: np.ndarray, q: int, first_stream: int,
-                 step_stream: int) -> np.ndarray:
-    """Stationary complete-graph walk sampled at the given anchor sites.
+def _field(seed: int, stream: int, p: float, length: int):
+    """(lo, left, right, hit, keys): the _mask hits nearest the window
+    [0, length - 1], left <= 0 and right >= length - 1, and the mask and
+    the site keys mix_keys(seed, site) of lo..right, lo = min(left,
+    -_MARGIN).  One hash covers the window and _MARGIN sites each side;
+    _nearest scans on only if that has no hit.  The pipelines draw their
+    other per-site uniforms from `keys` with u01_next."""
+    lo, hi = -_MARGIN, length - 1 + _MARGIN
+    keys = mix_keys(seed, np.arange(lo, hi + 1, dtype=np.int64))
+    hit = u01_next(keys, stream) < p
+    before = hit[:_MARGIN + 1].nonzero()[0]
+    after = hit[length - 1 + _MARGIN:].nonzero()[0]
+    if len(before):
+        left = lo + int(before[-1])
+    else:
+        left = _nearest(seed, stream, p, lo - 1, -1)
+        more = mix_keys(seed, np.arange(left, lo, dtype=np.int64))
+        keys = np.concatenate((more, keys))
+        hit = np.concatenate((u01_next(more, stream) < p, hit))
+        lo = left
+    if len(after):
+        right = length - 1 + int(after[0])
+    else:
+        right = _nearest(seed, stream, p, hi + 1, 1)
+        more = mix_keys(seed, np.arange(hi + 1, right + 1, dtype=np.int64))
+        keys = np.concatenate((keys, more))
+        hit = np.concatenate((hit, u01_next(more, stream) < p))
+    return lo, left, right, hit[:right - lo + 1], keys[:right - lo + 1]
+
+
+def _code_field(keys: np.ndarray, zero: np.ndarray, t: float,
+                tail_stream: int) -> np.ndarray:
+    """Zero-weighted geometric code entries on the sites of `keys`: zero
+    where `zero` marks, positive geometric entries elsewhere."""
+    out = np.zeros(len(zero), dtype=np.int64)
+    positive = (~zero).nonzero()[0]
+    ut = u01_next(keys[positive], tail_stream)
+    np.log(ut, out=ut)
+    ut /= math.log(t)
+    np.floor(ut, out=ut)
+    ut += 1
+    out[positive] = ut
+    return out
+
+
+def _walk_colors(seed: int, site: int, keys: np.ndarray, q: int,
+                 first_stream: int, step_stream: int) -> np.ndarray:
+    """Stationary complete-graph walk sampled at a run of anchor sites: the
+    first at `site`, the others given by their site keys `keys`.
 
     The first color is uniform; each subsequent color is the previous one
     advanced by a uniform nonzero shift mod q, which is exactly a uniform
     choice among the other q - 1 colors.
     """
-    if len(sites) == 0:
-        return np.zeros(0, dtype=np.int64)
-    first = int(u01(seed, int(sites[0]), first_stream) * q)
-    steps = (u01_array(seed, sites[1:], step_stream) * (q - 1)).astype(np.int64) + 1
-    shifts = np.concatenate(([first], steps)).cumsum()
-    return (shifts % q + 1).astype(np.int64)
+    u = u01_next(keys, step_stream)
+    u *= q - 1
+    shifts = np.empty(len(u) + 1, dtype=np.int64)
+    shifts[0] = int(u01(seed, site, first_stream) * q)
+    shifts[1:] = u
+    shifts[1:] += 1
+    np.cumsum(shifts, out=shifts)
+    shifts %= q
+    shifts += 1
+    return shifts
 
 
 # ---------------------------------------------------------------------------
@@ -414,40 +558,31 @@ def painting_sample(q: int, k: int, length: int, seed: int,
     if length < 1:
         raise ValueError("need length >= 1")
     tv, s = _resolve(q, k, t)
-    anchor_density = 1.0 - s
-    logt = math.log(tv)
+    lo, left, _, hit, keys = _field(seed, S_PAINT_BERN, 1.0 - s, length)
+    bern, keys = hit[left - lo:], keys[left - lo:]
+    colors = np.empty(len(bern), dtype=np.uint8)
+    inner = ~bern
+    colors[inner] = _picks(u01_next(keys[inner], S_PAINT_COLOR), q)
+    del inner
+    anchors = bern.nonzero()[0]
+    colors[anchors] = _walk_colors(seed, int(anchors[0]) + left,
+                                   keys[anchors[1:]], q,
+                                   S_PAINT_FIRST, S_PAINT_STEP)
+    del keys
 
-    marked = _hits(seed, S_PAINT_BERN, anchor_density)
-    left = _nearest(marked, 0, -1)
-    right = _nearest(marked, length - 1, 1)
-    sites = np.arange(left, right + 1, dtype=np.int64)
-    bern = u01_array(seed, sites, S_PAINT_BERN) < anchor_density
-    anchors = sites[bern]
-    colors = np.zeros(len(sites), dtype=np.int64)
-    colors[anchors - left] = _walk_colors(seed, anchors, q,
-                                          S_PAINT_FIRST, S_PAINT_STEP)
+    def split(lo, hi):
+        if len(lo) <= _FEW_GAPS:
+            return np.array([a + 1 + _split_offset(
+                u01(seed, a + left, b + left, S_PAINT_SPLIT), b - a - 1, tv)
+                for a, b in zip(lo.tolist(), hi.tolist())], dtype=np.int64)
+        u = u01_keys(seed, lo + left, hi + left, S_PAINT_SPLIT)
+        return lo + 1 + _split_offsets(u, hi - lo - 1, tv)
 
-    def split(a, b):
-        g = b - a - 1
-        if g == 1:
-            return a + 1
-        u = u01(seed, a, b, S_PAINT_SPLIT)
-        m = int(math.floor(math.log1p(-u * (1.0 - tv**g)) / logt))
-        return a + 1 + min(max(m, 0), g - 1)
+    _fill(colors, _splits(anchors[:-1], anchors[1:], split))
 
-    def draw(v):
-        return u01(seed, v, S_PAINT_COLOR)
-
-    # Listing only the gaps with interior sites keeps peak memory down.
-    wide = np.diff(anchors) >= 2
-    gaps = zip(anchors[:-1][wide].tolist(), anchors[1:][wide].tolist())
-    _fill(colors, left, _splits(gaps, split), q, draw)
-
-    lo_off = -left
-    window_colors = colors[lo_off:lo_off + length]
-    mask = bern[lo_off:lo_off + length]
-    return ColoringSample(0, window_colors, SampleParams(q, k, tv, s), seed,
-                          endpoint_mask=mask)
+    window = slice(-left, -left + length)
+    return ColoringSample(0, colors[window], SampleParams(q, k, tv, s), seed,
+                          endpoint_mask=bern[window])
 
 
 # ---------------------------------------------------------------------------
@@ -460,59 +595,38 @@ def _zero_field_params(q: int, tv: float) -> tuple[float, float]:
     return u, p_zero
 
 
-def _lehmer_common(q: int, k: int, length: int, seed: int,
-                   t: float | None, zero_stream: int, tail_stream: int):
-    """Code field on an extended window with zeros at both ends, and the
-    zero-site hit test that found them."""
+def _code_window(q: int, k: int, length: int, seed: int, t: float | None,
+                 zero_stream: int, tail_stream: int):
+    """Parameters, _field's lo, left and mask, the site keys and the code
+    field from left to the nearest zero past the window, and its zero
+    offsets."""
     if length < 1:
         raise ValueError("need length >= 1")
     tv, s = _resolve(q, k, t)
     _, p_zero = _zero_field_params(q, tv)
-    zeros_of = _hits(seed, zero_stream, p_zero)
-    left = _nearest(zeros_of, 0, -1)
-    right = _nearest(zeros_of, length - 1, 1)
-    entries = _code_field(seed, left, right, tv, p_zero, zero_stream,
-                          tail_stream)
-    return tv, s, left, entries, zeros_of
-
-
-def _fill_blocks(colors: np.ndarray, left: int, entries: np.ndarray, q: int,
-                 block_draw) -> None:
-    """Fill every bubble of a code field along its arrival order.
-
-    entries is the code field from site `left` on; its zeros, which delimit
-    the blocks, must already be colored in `colors`.  block_draw(a, values)
-    returns the draw of the block whose left zero is site a and whose
-    arrival times are `values`.
-    """
-    zeros = np.flatnonzero(entries == 0).tolist()
-    for za, zb in zip(zeros, zeros[1:]):
-        if zb - za < 2:
-            continue
-        a = za + left
-        values = decrement_cycle_values(entries[za:zb + 1].tolist(), a,
-                                        "lehmer")
-        _fill(colors, left, _splits([(a, zb + left)], _earliest(values, a)),
-              q, block_draw(a, values))
+    lo, left, _, hit, keys = _field(seed, zero_stream, p_zero, length)
+    zero, keys = hit[left - lo:], keys[left - lo:]
+    entries = _code_field(keys, zero, tv, tail_stream)
+    return tv, s, lo, left, hit, keys, entries, zero.nonzero()[0]
 
 
 def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
                            t: float | None = None):
     """As lehmer_pipeline_sample, also returning the window's code entries."""
-    tv, s, left, entries, _ = _lehmer_common(
+    tv, s, _, left, _, keys, entries, zeros = _code_window(
         q, k, length, seed, t, S_LEHMER_ZERO, S_LEHMER_TAIL)
-    zero_offs = np.flatnonzero(entries == 0)
-    colors = np.zeros(len(entries), dtype=np.int64)
-    colors[zero_offs] = _walk_colors(seed, zero_offs + left, q,
-                                     S_WALK_FIRST, S_WALK_STEP)
+    colors = np.empty(len(entries), dtype=np.uint8)
+    inner = entries != 0
+    colors[inner] = _picks(u01_next(keys[inner], S_BUBBLE), q)
+    del inner
+    colors[zeros] = _walk_colors(seed, int(zeros[0]) + left,
+                                 keys[zeros[1:]], q, S_WALK_FIRST, S_WALK_STEP)
+    del keys
+    order, _, _ = _arrival(entries, zeros)
+    _fill(colors, _splits(zeros[:-1], zeros[1:],
+                          _earliest(order, len(entries))))
 
-    def block_draw(a, values):
-        return lambda v: u01(seed, v, S_BUBBLE)
-
-    _fill_blocks(colors, left, entries, q, block_draw)
-
-    lo_off = -left
-    window = slice(lo_off, lo_off + length)
+    window = slice(-left, -left + length)
     sample = ColoringSample(0, colors[window], SampleParams(q, k, tv, s),
                             seed, endpoint_mask=(entries == 0)[window])
     return sample, entries[window]
@@ -534,6 +648,19 @@ def lehmer_pipeline_sample(q: int, k: int, length: int, seed: int,
 # Pipeline 3: finitary factor with coding radii
 
 
+def _color_pairs(x: np.ndarray, q: int):
+    """Ordered pairs (first, second) of distinct colors from x = u q (q-1)
+    for the sites' uniforms u, and whether each site's first escapes its
+    predecessor's pair (the first site counts as escaping)."""
+    r = x.astype(np.int64)
+    first = r // (q - 1) + 1
+    second = r % (q - 1) + 1
+    second += second >= first
+    escape = np.ones(len(r), dtype=bool)
+    escape[1:] = (first[1:] != first[:-1]) & (first[1:] != second[:-1])
+    return first, second, escape
+
+
 def ffiid_detail(q: int, k: int, length: int, seed: int,
                  t: float | None = None) -> tuple[ColoringSample, dict]:
     """As ffiid_sample, also returning construction internals.
@@ -543,72 +670,70 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     ("hops"): the number of steps through the zero set back to the
     resolving site, whose tail is exactly (2/q)^n.
     """
-    tv, s, left, entries, zeros_of = _lehmer_common(
+    tv, s, lo, left, hit, keys, entries, zeros = _code_window(
         q, k, length, seed, t, S_FFIID_ZERO, S_FFIID_TAIL)
+    del keys
 
-    # Walk left through the zero set from the window's left anchor until a
-    # zero site whose first candidate color escapes its predecessor's pair;
-    # the forward pass from that site is exact.
-    chain = []
-    cur = left
+    # Walk left through the zero set from the window's left anchor to the
+    # nearest zero site whose first candidate color escapes its
+    # predecessor's pair; the forward pass from that site is exact.  The
+    # margin _field hashed usually holds it; else hash on leftward.
+    # The walk tests pairs from (u q)(q - 1), as the scalar walk did; the
+    # forward pass takes them from u (q (q - 1)), as it always has.
+    zs = lo + hit.nonzero()[0]
     while True:
-        prev = _nearest(zeros_of, cur - 1, -1)
-        if _color_pair(seed, cur, q)[0] not in _color_pair(seed, prev, q):
+        u = u01_array(seed, zs, S_FFIID_Z)
+        head = u[:len(zs) - len(zeros) + 1]
+        resolving = _color_pairs(head * q * (q - 1), q)[2][1:].nonzero()[0]
+        if len(resolving):
             break
-        chain.append(prev)
-        cur = prev
-        if left - cur > EXTENSION_CAP:
+        if left - lo > EXTENSION_CAP:
             raise RuntimeError("resolving-site search exceeded cap")
-    zs = np.array(chain[::-1] + (np.flatnonzero(entries == 0) + left).tolist(),
-                  dtype=np.int64)
-
-    r = (u01_array(seed, zs, S_FFIID_Z) * (q * (q - 1))).astype(np.int64)
-    z1 = r // (q - 1) + 1
-    z2 = r % (q - 1) + 1
-    z2 = np.where(z2 >= z1, z2 + 1, z2)
-    escape = np.zeros(len(zs), dtype=bool)
-    escape[0] = True
-    escape[1:] = (z1[1:] != z1[:-1]) & (z1[1:] != z2[:-1])
-
-    # Forward pass; the start site is an escape so no earlier state matters.
-    zcolors = np.zeros(len(zs), dtype=np.int64)
-    c_prev = 0
-    z1l, z2l = z1.tolist(), z2.tolist()
-    for m in range(len(zs)):
-        c = z1l[m] if z1l[m] != c_prev else z2l[m]
-        zcolors[m] = c
-        c_prev = c
-
+        lo -= _CHUNK
+        more = _mask(seed, S_FFIID_ZERO, _zero_field_params(q, tv)[1],
+                     lo, lo + _CHUNK - 1)
+        zs = np.concatenate((lo + more.nonzero()[0], zs))
+    cut = resolving[-1] + 1
+    zs = zs[cut:]
+    z1, z2, escape = _color_pairs(u[cut:] * (q * (q - 1)), q)
     idx = np.arange(len(zs))
     esc_idx = np.maximum.accumulate(np.where(escape, idx, 0))
     hops = idx - esc_idx
+    # Forward pass, all sites at once: each site takes its first candidate
+    # unless that is its predecessor's color.  An escape takes its first;
+    # after it, the choice flips at each site whose first candidate is its
+    # predecessor's first.
+    flips = np.zeros(len(zs), dtype=np.int64)
+    flips[1:] = z1[1:] == z1[:-1]
+    np.cumsum(flips, out=flips)
+    zcolors = np.where((flips - flips[esc_idx]) & 1, z2, z1)
     reset_site = zs[esc_idx]
 
-    colors = np.zeros(len(entries), dtype=np.int64)
+    colors = np.empty(len(entries), dtype=np.uint8)
+    order, za, g = _arrival(entries, zeros)
+    # Uniforms are indexed by the block's arrival order, not by the order
+    # in which _splits visits it: the rank is a draw key.
+    words = mix_keys(seed, za + left, S_FFIID_U)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(g) - g, g) + 2
+    colors[order] = _picks(u01_from_words(np.repeat(words, g), rank), q)
+    del words, rank
     in_win = zs >= left
     colors[zs[in_win] - left] = zcolors[in_win]
-
-    def block_draw(a, values):
-        # Uniforms are indexed by the block's arrival order, not by the
-        # order in which _splits visits it: the rank is a draw key.
-        word = mix(seed, a, S_FFIID_U)
-        order = sorted(range(len(values)), key=values.__getitem__)
-        rank = {off: r for r, off in enumerate(order)}
-        return lambda v: u01_from_word(word, rank[v - a])
-
-    _fill_blocks(colors, left, entries, q, block_draw)
+    _fill(colors, _splits(zeros[:-1], zeros[1:],
+                          _earliest(order, len(entries))))
 
     # Coding radii on the window: distance to the farthest site examined.
+    window = slice(-left, -left + length)
     window_sites = np.arange(0, length, dtype=np.int64)
-    pos = np.searchsorted(zs, window_sites, side="right") - 1
-    f_plus_idx = np.minimum(pos + 1, len(zs) - 1)
-    f_plus = zs[f_plus_idx]
-    is_zero = entries[window_sites - left] == 0
+    is_zero = entries[window] == 0
+    # index in zs of the last zero site at or before each window site
+    pos = np.cumsum(entries[:-left + length] == 0)[window]
+    pos += len(zs) - len(zeros) - 1
+    f_plus = zs[np.minimum(pos + 1, len(zs) - 1)]
     left_reach = window_sites - reset_site[pos]
     radii = np.where(is_zero, left_reach,
                      np.maximum(left_reach, f_plus - window_sites))
 
-    window = slice(-left, -left + length)
     sample = ColoringSample(0, colors[window], SampleParams(q, k, tv, s),
                             seed, radii=radii,
                             endpoint_mask=(entries == 0)[window])
@@ -619,16 +744,6 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
         "hops": hops[zmask],
     }
     return sample, extras
-
-
-def _color_pair(seed: int, site: int, q: int) -> tuple[int, int]:
-    """Uniform ordered pair of distinct colors attached to a site."""
-    r = int(u01(seed, site, S_FFIID_Z) * q * (q - 1))
-    first = r // (q - 1) + 1
-    second = r % (q - 1) + 1
-    if second >= first:
-        second += 1
-    return first, second
 
 
 def ffiid_sample(q: int, k: int, length: int, seed: int,
@@ -692,10 +807,14 @@ def iter_markov_states(sample: ColoringSample, entries, as_keys: bool = False):
     zero_offs = np.flatnonzero(entries == 0)
     if len(zero_offs) < 2:
         return
-    elist = entries.tolist()
+    lo, hi = _bubble_arcs(entries)
+    block_arcs = collections.defaultdict(list)
+    owner = zero_offs[np.searchsorted(zero_offs, lo, side="right") - 1]
+    for za, arc in zip(owner.tolist(), zip(lo.tolist(), hi.tolist())):
+        block_arcs[za].append(arc)
     colors = sample.colors
     for za, zb in zip(zero_offs.tolist(), zero_offs.tolist()[1:]):
-        arcs_abs = _block_arc_list(elist[za:zb + 1], za)
+        arcs_abs = block_arcs[za]
         block_colors = tuple(int(c) for c in colors[za:zb + 1])
         for i in range(za, zb):
             rel_arcs = {(x - i, y - i) for x, y in arcs_abs}

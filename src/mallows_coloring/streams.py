@@ -23,6 +23,8 @@ GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
+_S11, _S27, _S30, _S31 = (np.uint64(n) for n in (11, 27, 30, 31))
+_UM1, _UM2, _UGAMMA = np.uint64(_M1), np.uint64(_M2), np.uint64(GAMMA)
 
 
 def _finalize(z: int) -> int:
@@ -50,24 +52,70 @@ def u01_from_word(word: int, j: int) -> float:
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    """FINALIZE of a uint64 array, in place; returns z."""
+    z ^= z >> _S30
+    z *= _UM1
+    z ^= z >> _S27
+    z *= _UM2
+    z ^= z >> _S31
+    return z
+
+
+def _spread(w):
+    """w * GAMMA mod 2^64: a uint64 scalar for an int, a new array for an
+    integer array."""
+    if isinstance(w, (int, np.integer)):
+        return np.uint64((int(w) & MASK64) * GAMMA & MASK64)
+    return np.asarray(w).astype(np.int64, copy=False).view(np.uint64) * _UGAMMA
+
+
+def _u01_bits(bits: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1) from 64-bit hashes (consumes `bits`)."""
+    bits >>= _S11
+    out = bits.astype(np.float64)
+    out += 0.5
+    out *= _INV53
+    return out
+
+
+def mix_keys(seed: int, first: np.ndarray, *words) -> np.ndarray:
+    """Vectorized mix(seed, first, *words) over an integer array `first`;
+    each further word is an int or an array of the same shape."""
+    out = _spread(first)
+    out ^= np.uint64(_finalize((GAMMA + seed) & MASK64))
+    out = _finalize_array(out)
+    for w in words:
+        out ^= _spread(w)
+        out = _finalize_array(out)
+    return out
+
+
+def u01_next(keys: np.ndarray, *words) -> np.ndarray:
+    """Uniforms of the keys `keys` (from mix_keys) extended by `words`:
+    u01_next(mix_keys(seed, w), s) == u01_keys(seed, w, s).  Leaves `keys`
+    as it was, so one array of site keys serves several streams."""
+    for w in words:
+        keys = _finalize_array(keys ^ _spread(w))
+    return _u01_bits(keys)
+
+
+def u01_keys(seed: int, first: np.ndarray, *words) -> np.ndarray:
+    """Vectorized u01(seed, first, *words), words as for mix_keys."""
+    return _u01_bits(mix_keys(seed, first, *words))
+
+
+def u01_from_words(words: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Vectorized u01_from_word over uint64 words and integer indices j."""
+    z = _spread(j)
+    z += words
+    return _u01_bits(_finalize_array(z))
 
 
 def mix_array(seed: int, words: np.ndarray, stream: int) -> np.ndarray:
-    """Vectorized mix(seed, w, stream) over an array of key words.
-
-    Matches the scalar rule exactly: hash state absorbs each word in turn.
-    """
-    words = np.asarray(words).astype(np.int64).view(np.uint64)
-    state0 = np.uint64(_finalize((GAMMA + seed) & MASK64))
-    state = _finalize_array(state0 ^ (words * np.uint64(GAMMA)))
-    stream_word = np.uint64((stream & MASK64) * GAMMA & MASK64)
-    return _finalize_array(state ^ stream_word)
+    """Vectorized mix(seed, w, stream) over an array of key words."""
+    return mix_keys(seed, words, stream)
 
 
 def u01_array(seed: int, words: np.ndarray, stream: int) -> np.ndarray:
     """Vectorized u01(seed, w, stream)."""
-    bits = mix_array(seed, words, stream)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _INV53
+    return u01_keys(seed, words, stream)

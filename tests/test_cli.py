@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -49,6 +50,24 @@ class TestExact:
         assert code == 0
         assert payload["results"]["exact_fraction"] == "1/100"
         assert payload["results"]["decimal"].rstrip("0") in ("0.01", "0.01")
+
+    @pytest.mark.parametrize("precision", ["0.1", "1e-3", "1e-6", "1e-30"])
+    def test_decimal_shows_only_fixed_digits(self, capsys, precision):
+        # the isolating interval of t fixes only some digits of the value;
+        # at 0.1 the midpoint's 12 digits were 0.00990863787375
+        import decimal
+        code, payload = run_json(capsys, "exact", "--word", "121", "--q", "5",
+                                 "--k", "1", "--precision", precision)
+        assert code == 0
+        text = payload["results"]["decimal"]
+        assert text != "0.00990863787375"
+        digits = len(decimal.Decimal(text).as_tuple().digits)
+        assert decimal.Decimal(text) == decimal.Decimal(
+            decimal_str(Fraction(1, 100), digits))
+        if precision == "0.1":
+            assert text == "0.01"
+        if precision == "1e-30":
+            assert text == "0.0100000000000"
 
     def test_cylinder_123(self, capsys):
         _, payload = run_json(capsys, "exact", "--word", "123",

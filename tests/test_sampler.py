@@ -146,15 +146,18 @@ class TestGammaFromLehmer:
 
 class TestArrivalPeeling:
     def test_peel_completes_on_every_single_bubble(self):
-        # on every single-bubble constraint graph the arc-based walk visits
-        # each interior site exactly once, and its gaps and splits
-        # reproduce the graph's arcs
+        # on every single-bubble constraint graph the level-by-level walk
+        # driven by the arcs visits each interior site exactly once, and
+        # its gaps and splits reproduce the graph's arcs
         from mallows_coloring.sampler import _joined, _splits
         for sigma in all_perms(1, 7):
             graph = constraint_graph(sigma)
             if len(founders(sigma)) != 2:
                 continue
-            splits = list(_splits([(1, 7)], _joined(graph.arcs)))
+            levels = list(_splits(np.array([1]), np.array([7]),
+                                  _joined(graph.arcs)))
+            splits = [(v, lo, hi) for level in levels
+                      for v, lo, hi in zip(*(a.tolist() for a in level))]
             assert sorted(v for v, _, _ in splits) == list(range(2, 7))
             arcs = {(1, 7)}
             for v, lo, hi in splits:
@@ -165,7 +168,138 @@ class TestArrivalPeeling:
         from mallows_coloring.sampler import _joined, _splits
         arcs = {(1, 2), (2, 3), (3, 4)}  # path: no site joined to 1 and 4
         with pytest.raises(ValueError):
-            list(_splits([(1, 4)], _joined(arcs)))
+            list(_splits(np.array([1]), np.array([4]), _joined(arcs)))
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_arrival_matches_decrement_oracle(self, huge):
+        # 20,000 random blocks in one code field, interior entries up to
+        # twice past the in-block bound, and some empty blocks; with `huge`,
+        # some entries near 2^40, whose value range needs the wide sort
+        from mallows_coloring.perm import decrement_cycle_values
+        from mallows_coloring.sampler import _arrival
+        rng = np.random.default_rng(40 + huge)
+        field = [0]
+        for _ in range(20_000):
+            g = int(rng.geometric(0.3)) - 1
+            for off in range(1, g + 1):
+                bound = g + 1 - off
+                field.append(int(rng.integers(1, 2 * bound + 3)))
+                if huge and rng.random() < 0.01:
+                    field[-1] += 2**40 + int(rng.integers(0, 100))
+            field.append(0)
+        entries = np.array(field, dtype=np.int64)
+        zeros = np.flatnonzero(entries == 0)
+        order, za, g = _arrival(entries, zeros)
+        assert int(g.sum()) == len(entries) - len(zeros)
+        assert (np.diff(g) <= 0).all()
+        pos = 0
+        for a, size in zip(za.tolist(), g.tolist()):
+            values = decrement_cycle_values(field[a:a + size + 2], a, "lehmer")
+            ranks = sorted(range(size + 2), key=values.__getitem__)
+            # the endpoints arrive first, so interior ranks start at 2
+            assert ranks[:2] == [0, size + 1]
+            assert order[pos:pos + size].tolist() == [a + r for r in ranks[2:]]
+            pos += size
+        assert pos == len(order)
+
+    @pytest.mark.parametrize("q,k", [(5, 1), (3, 3), (6, 2), (8, 1)])
+    def test_vector_split_matches_scalar(self, q, k, monkeypatch):
+        from mallows_coloring import sampler
+        t, _ = tuned_parameters(q, k)
+        rng = np.random.default_rng(q * 10 + k)
+        n = 1_000_000
+        u = rng.random(n)
+        u[u == 0.0] = 0.5
+        g = rng.integers(1, 48, size=n)
+        vec = sampler._split_offsets(u, g, t)
+        ref = [sampler._split_offset(a, b, t)
+               for a, b in zip(u.tolist(), g.tolist())]
+        assert vec.tolist() == ref
+        # keys whose quotient lies within a few ulps of an integer j, where
+        # numpy's and math's log1p may round apart; the guard must catch them
+        cu, cg = [], []
+        for size in range(2, 41):
+            for j in range(1, size + 1):
+                exact = (1.0 - t**j) / (1.0 - t**size)
+                for step in range(-3, 4):
+                    near = exact
+                    for _ in range(abs(step)):
+                        near = np.nextafter(near, 2.0 if step > 0 else 0.0)
+                    if 0.0 < near < 1.0:
+                        cu.append(float(near))
+                        cg.append(size)
+        scalar = sampler._split_offset
+        guarded = []
+
+        def counting(u, g, t):
+            guarded.append(g)
+            return scalar(u, g, t)
+        monkeypatch.setattr(sampler, "_split_offset", counting)
+        vec = sampler._split_offsets(np.array(cu), np.array(cg), t)
+        monkeypatch.undo()
+        assert vec.tolist() == [scalar(a, b, t) for a, b in zip(cu, cg)]
+        assert len(guarded) > len(cu) // 2
+
+    def test_field_finds_nearest_hits_beyond_the_margin(self):
+        # sparse fields, so the nearest hit often lies past the hashed margin
+        from mallows_coloring.sampler import _field, _mask
+        from mallows_coloring.streams import mix
+        for seed in range(40):
+            for length in (1, 5, 60):
+                lo, left, right, hit, keys = _field(seed, 3, 0.04, length)
+                wide = _mask(seed, 3, 0.04, -3000, length + 3000)
+                sites = np.flatnonzero(wide) - 3000
+                assert left == sites[sites <= 0].max()
+                assert right == sites[sites >= length - 1].min()
+                assert lo == min(left, -32)
+                assert (hit == wide[lo + 3000:right + 3001]).all()
+                assert len(keys) == len(hit)
+                for off in (0, len(keys) // 2, len(keys) - 1):
+                    assert int(keys[off]) == mix(seed, lo + off)
+
+    @pytest.mark.parametrize("fn", [painting_sample, lehmer_pipeline_sample,
+                                    ffiid_sample])
+    def test_extension_invariance_on_sparse_fields(self, fn):
+        # at t = 0.97 anchors and zeros are some 25 sites apart, so window
+        # ends and the ffiid lookback often reach past the hashed margin
+        for seed in range(6):
+            full = fn(5, 1, 400, seed, t=0.97)
+            for m in (1, 30, 399):
+                part = fn(5, 1, m, seed, t=0.97)
+                assert (part.colors == full.colors[:m]).all()
+                if full.radii is not None:
+                    assert (part.radii == full.radii[:m]).all()
+
+    @pytest.mark.parametrize("q,t", [(5, 0.97), (3, 0.99)])
+    def test_lookback_matches_scalar_walk(self, q, t):
+        # the zero-site walk of the finitary factor, one site at a time:
+        # hops back to the first zero whose first candidate escapes its
+        # predecessor's pair; sparse zeros take it past the hashed margin
+        from mallows_coloring import sampler
+        from mallows_coloring.streams import u01
+        p_zero = sampler._zero_field_params(q, t)[1]
+
+        def pair(seed, site):
+            r = int(u01(seed, site, sampler.S_FFIID_Z) * q * (q - 1))
+            first, second = r // (q - 1) + 1, r % (q - 1) + 1
+            return first, second + (second >= first)
+
+        def hops(seed, cur):
+            n = 0
+            while True:
+                prev = cur - 1
+                while u01(seed, prev, sampler.S_FFIID_ZERO) >= p_zero:
+                    prev -= 1
+                if pair(seed, cur)[0] not in pair(seed, prev):
+                    return n
+                cur, n = prev, n + 1
+        for seed in range(200):
+            _, extras = ffiid_detail(q, 1, 40, seed, t=t)
+            for site, n in zip(extras["zeros"][:2].tolist(),
+                               extras["hops"][:2].tolist()):
+                assert n == hops(seed, site)
 
 
 class TestUniformColoring:

@@ -1,7 +1,8 @@
 import numpy as np
 
-from mallows_coloring.streams import (mix, mix_array, u01, u01_array,
-                                      u01_from_word)
+from mallows_coloring.streams import (mix, mix_array, mix_keys, u01,
+                                      u01_array, u01_from_word,
+                                      u01_from_words, u01_keys, u01_next)
 
 
 def test_scalar_vector_agreement():
@@ -44,3 +45,33 @@ def test_multiword_keys():
     assert mix(1, 2, 3) != mix(1, 3, 2)
     assert mix(1, 2, 3) != mix(1, 2, 4)
     assert u01(1, 2, 3, 4) != u01(1, 2, 3, 5)
+
+
+def test_multiword_array_hash_matches_scalar():
+    rng = np.random.default_rng(3)
+    big = rng.integers(-2**63, 2**63 - 1, size=40, dtype=np.int64)
+    small = rng.integers(-10**6, 10**6, size=40)
+    for seed in (0, 2**63 - 1, 2**64 - 1, -5):
+        bits = mix_keys(seed, big, small, 9)
+        u = u01_keys(seed, small, big, 2**40)
+        for i in range(40):
+            a, b = int(big[i]), int(small[i])
+            assert int(bits[i]) == mix(seed, a, b, 9)
+            assert u[i] == u01(seed, b, a, 2**40)
+        keys = mix_keys(seed, small)
+        chained = u01_next(keys, big, 2**40)
+        for i in range(40):
+            assert chained[i] == u01(seed, int(small[i]), int(big[i]), 2**40)
+        assert (u01_next(keys, 9) == u01_keys(seed, small, 9)).all()
+        words = mix_keys(seed, big, 12)
+        ranks = np.arange(40) + 2**33
+        uw = u01_from_words(words, ranks)
+        for i in range(40):
+            assert uw[i] == u01_from_word(int(words[i]), int(ranks[i]))
+
+
+def test_array_hash_leaves_inputs_alone():
+    sites = np.arange(-5, 5, dtype=np.int64)
+    keep = sites.copy()
+    u01_keys(1, sites, sites, 3)
+    assert (sites == keep).all()

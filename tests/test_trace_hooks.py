@@ -55,7 +55,7 @@ def test_install_wraps_and_uninstall_restores(tracer):
         assert getattr(owner, attr) is original
     for name in ("tpoly.solve_tuning", "tpoly.poly_remainder",
                  "tpoly.interval_enclosure", "building.certify",
-                 "building.number", "streams.u01", "streams.mix",
-                 "perm.decrement", "sampler.validate",
+                 "building.number", "streams.u01", "streams.u01_array",
+                 "sampler.validate",
                  "dist.dominance_check", "cli.check.converse-tuning-scan"):
         assert tracer.calls(name) > 0, name
