@@ -13,9 +13,8 @@ from .sampler import (ColoringSample, MarkovState, SampleParams, ffiid_sample,
                       gamma_from_lehmer, lehmer_pipeline_sample, markov_states,
                       painting_sample, sample_bubble_mallows, sample_mallows,
                       uniform_coloring)
-from .tpoly import (AlgebraicT, NoSolutionError, RatPoly, eval_rational,
-                    poly_remainder, solve_tuning, t_binomial, t_factorial,
-                    t_int, tuning_poly)
+from .tpoly import (AlgebraicT, NoSolutionError, RatPoly, poly_remainder,
+                    solve_tuning, t_binomial, t_factorial, t_int, tuning_poly)
 from .verify import (CylinderTable, InsufficientDataError, TestReport,
                      chi_square_against_exact, estimate_cylinders,
                      independence_defect, tail_fit)

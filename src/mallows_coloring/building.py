@@ -36,7 +36,7 @@ from . import perm as perm_mod
 from .tpoly import (ONE, RatPoly, T, ZERO, AlgebraicT, NoSolutionError,
                     interval_enclosure, poly_remainder, t_binomial,
                     t_factorial, t_int, tuning_poly)
-from .words import Word
+from .words import Word, color_pattern
 
 #: Longest word accepted by the brute-force building-number oracle.
 BRUTE_WORD_CAP = 7
@@ -71,7 +71,7 @@ def _building_pattern(pat: tuple[int, ...]) -> RatPoly:
         coeffs = [Fraction(0)] * (n * (n - 1) // 2 + 1)
         for i in range(n):
             shorter = pat[:i] + pat[i + 1:]
-            sub = _building_pattern(_canonical(shorter))
+            sub = _building_pattern(color_pattern(shorter))
             shift = n - 1 - i
             for d, c in enumerate(sub.coeffs):
                 if d + shift >= len(coeffs):
@@ -80,16 +80,6 @@ def _building_pattern(pat: tuple[int, ...]) -> RatPoly:
         result = RatPoly(tuple(coeffs))
     _memo[pat] = result
     return result
-
-
-def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for c in seq:
-        if c not in seen:
-            seen[c] = len(seen) + 1
-        out.append(seen[c])
-    return tuple(out)
 
 
 def building_number_alt(x: Word) -> RatPoly:
@@ -114,11 +104,11 @@ def _building_alt(pat: tuple[int, ...]) -> RatPoly:
     else:
         total = ZERO
         for i in range(n):
-            sub = _building_alt(_canonical(pat[:i] + pat[i + 1:]))
+            sub = _building_alt(color_pattern(pat[:i] + pat[i + 1:]))
             total = total + T ** (n - 1 - i) * sub
         for j in range(1, n):
             if pat[j - 1] == pat[j]:
-                sub = _building_alt(_canonical(pat[:j] + pat[j + 1:]))
+                sub = _building_alt(color_pattern(pat[:j] + pat[j + 1:]))
                 total = total - t_int(2) * T ** (n - 1 - j) * sub
         result = total
     _memo_alt[pat] = result

@@ -16,7 +16,6 @@ import argparse
 import concurrent.futures
 import decimal
 import functools
-import io
 import itertools
 import json
 import math
@@ -101,6 +100,14 @@ def _require_admissible(parser: argparse.ArgumentParser, q: int, k: int) -> None
         parser.error(f"inadmissible parameters q={q}, k={k}: requires qk>2(k+1)")
 
 
+def _require_sampleable(parser: argparse.ArgumentParser, q: int, k: int) -> None:
+    _require_admissible(parser, q, k)
+    try:
+        sampler.check_q(q)
+    except ValueError as err:
+        parser.error(f"argument --q: {err}")
+
+
 # ---------------------------------------------------------------------------
 # solve-tuning
 
@@ -164,35 +171,21 @@ def _cmd_exact(args, parser) -> int:
 
 
 def _cmd_sample(args, parser) -> int:
-    _require_admissible(parser, args.q, args.k)
+    _require_sampleable(parser, args.q, args.k)
     sample = _PIPELINES[args.method](args.q, args.k, args.length, args.seed)
+    # (CSV column, JSON key, values) of each per-site array the sample has
+    arrays = [(col, key, a.astype(np.int64).tolist()) for col, key, a in (
+        ("color", "colors", sample.colors), ("radius", "radii", sample.radii),
+        ("endpoint", "endpoints", sample.endpoint_mask)) if a is not None]
     if args.format == "csv":
-        buf = io.StringIO()
-        columns = ["index", "color"]
-        if sample.radii is not None:
-            columns.append("radius")
-        if sample.endpoint_mask is not None:
-            columns.append("endpoint")
-        buf.write(",".join(columns) + "\n")
-        for i in range(len(sample)):
-            row = [str(sample.start + i), str(int(sample.colors[i]))]
-            if sample.radii is not None:
-                row.append(str(int(sample.radii[i])))
-            if sample.endpoint_mask is not None:
-                row.append(str(int(sample.endpoint_mask[i])))
-            buf.write(",".join(row) + "\n")
-        _emit(buf.getvalue(), args.out)
+        header = ["index"] + [col for col, _, _ in arrays]
+        row = ",".join(["{}"] * len(header)) + "\n"
+        index = range(sample.start, sample.start + len(sample))
+        _emit(",".join(header) + "\n" + "".join(
+            map(row.format, index, *(v for _, _, v in arrays))), args.out)
         return 0
-    results = {
-        "start": sample.start,
-        "colors": [int(c) for c in sample.colors],
-        "t": sample.params.t,
-        "s": sample.params.s,
-    }
-    if sample.radii is not None:
-        results["radii"] = [int(r) for r in sample.radii]
-    if sample.endpoint_mask is not None:
-        results["endpoints"] = [int(b) for b in sample.endpoint_mask]
+    results = {"start": sample.start, "t": sample.params.t, "s": sample.params.s}
+    results.update((key, v) for _, key, v in arrays)
     params = {"q": args.q, "k": args.k, "length": args.length,
               "method": args.method}
     _emit_json(_envelope("sample", params, args.seed, results), args.out)
@@ -365,7 +358,7 @@ def _merge_shards(shards: list[dict], max_len: int, k: int) -> dict:
 
 
 def _cmd_verify_stat(args, parser) -> int:
-    _require_admissible(parser, args.q, args.k)
+    _require_sampleable(parser, args.q, args.k)
     if args.threads > args.windows:
         parser.error(f"argument --threads: {args.threads} shards for "
                      f"{args.windows} windows; at most --windows allowed")
@@ -410,7 +403,7 @@ def _cmd_verify_stat(args, parser) -> int:
 
 
 def _cmd_radius(args, parser) -> int:
-    _require_admissible(parser, args.q, args.k)
+    _require_sampleable(parser, args.q, args.k)
     sample, extras = sampler.ffiid_detail(args.q, args.k, args.length, args.seed)
     radii = sample.radii
     rad_counts = {int(v): int(c) for v, c in

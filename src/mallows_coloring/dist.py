@@ -60,9 +60,6 @@ class GeomSpec:
         if self.trunc < 0:
             raise ValueError("trunc must be nonnegative")
 
-    def support_max(self) -> int | None:
-        return self.trunc if self.variant in _FINITE else None
-
     def _weight(self, j: int) -> Fraction:
         u = Fraction(self.u)
         if self.variant is GeomVariant.TRUNCATED:

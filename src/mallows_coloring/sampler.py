@@ -80,7 +80,8 @@ S_FFIID_TAIL = 14
 #: geometric so hitting this indicates a parameter or implementation fault.
 EXTENSION_CAP = 10**6
 
-_CHUNK = 256
+#: Largest q the samplers accept: colors are stored as uint8.
+MAX_Q = 255
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,9 +149,16 @@ def tuned_parameters(q: int, k: int) -> tuple[float, float]:
     return t, t * (q - 2) / (q - 1 - t)
 
 
+def check_q(q: int) -> None:
+    """Raise ValueError unless 3 <= q <= MAX_Q."""
+    if not 3 <= q <= MAX_Q:
+        raise ValueError(f"need 3 <= q <= {MAX_Q}: colors are stored as uint8")
+
+
 def _resolve(q: int, k: int, t_override: float | None) -> tuple[float, float]:
-    if q < 3 or k < 1:
-        raise ValueError("need q >= 3 and k >= 1")
+    check_q(q)
+    if k < 1:
+        raise ValueError("need k >= 1")
     if t_override is None:
         return tuned_parameters(q, k)
     t = float(t_override)
@@ -428,8 +436,7 @@ def uniform_coloring(graph: ConstraintGraph, q: int,
     colors, along an arrival order read off its arcs, from one uniform per
     site drawn after the walk.
     """
-    if q < 3:
-        raise ValueError("need q >= 3")
+    check_q(q)
     eps = np.asarray(graph.bubble_endpoints(), dtype=np.int64) - graph.start
     walk = [int(rng.random() * q) + 1]
     for _ in eps[1:]:
@@ -451,51 +458,47 @@ _MARGIN = 32
 _FEW_GAPS = 6
 
 
-def _mask(seed: int, stream: int, p: float, lo: int, hi: int) -> np.ndarray:
-    """Whether the uniform on `stream` of each site lo..hi falls below p."""
-    return u01_array(seed, np.arange(lo, hi + 1, dtype=np.int64), stream) < p
+def _hash(seed: int, stream: int, p: float, lo: int, hi: int):
+    """Site keys mix_keys(seed, site) of the sites lo..hi, and whether the
+    uniform on `stream` of each falls below p."""
+    keys = mix_keys(seed, np.arange(lo, hi + 1, dtype=np.int64))
+    return keys, u01_next(keys, stream) < p
 
 
-def _nearest(seed: int, stream: int, p: float, first: int, step: int) -> int:
-    """Nearest site at or beyond `first` in direction `step` (-1 leftward,
-    +1 rightward) whose uniform on `stream` falls below p, scanned in
-    _CHUNK-site windows.  Raises after EXTENSION_CAP sites."""
-    for near in range(first, first + step * (EXTENSION_CAP + 1), step * _CHUNK):
-        lo, hi = sorted((near, near + step * (_CHUNK - 1)))
-        hits = np.flatnonzero(_mask(seed, stream, p, lo, hi))
-        if len(hits):
-            return lo + int(hits[0] if step > 0 else hits[-1])
-    raise RuntimeError("window extension exceeded cap; parameters degenerate")
+def _grow(reach: int) -> int:
+    """Sites to hash next past a side already hashed `reach` sites beyond
+    the window: doubles the reach, by at least _MARGIN sites.  Raises once
+    the reach has passed EXTENSION_CAP."""
+    if reach > EXTENSION_CAP:
+        raise RuntimeError("window extension exceeded cap; parameters degenerate")
+    return max(reach, _MARGIN)
 
 
 def _field(seed: int, stream: int, p: float, length: int):
-    """(lo, left, right, hit, keys): the _mask hits nearest the window
-    [0, length - 1], left <= 0 and right >= length - 1, and the mask and
+    """(lo, left, right, hit, keys): the hits nearest the window
+    [0, length - 1], left <= 0 and right >= length - 1, and the hits and
     the site keys mix_keys(seed, site) of lo..right, lo = min(left,
-    -_MARGIN).  One hash covers the window and _MARGIN sites each side;
-    _nearest scans on only if that has no hit.  The pipelines draw their
-    other per-site uniforms from `keys` with u01_next."""
+    -_MARGIN).  One _hash covers the window and _MARGIN sites each side.  A
+    side with no hit grows by hashing only the sites past it, each step
+    doubling that side's reach (_grow), and the new keys and hits are
+    joined onto the old ones.  The pipelines draw their other per-site
+    uniforms from `keys` with u01_next."""
     lo, hi = -_MARGIN, length - 1 + _MARGIN
-    keys = mix_keys(seed, np.arange(lo, hi + 1, dtype=np.int64))
-    hit = u01_next(keys, stream) < p
-    before = hit[:_MARGIN + 1].nonzero()[0]
-    after = hit[length - 1 + _MARGIN:].nonzero()[0]
-    if len(before):
-        left = lo + int(before[-1])
-    else:
-        left = _nearest(seed, stream, p, lo - 1, -1)
-        more = mix_keys(seed, np.arange(left, lo, dtype=np.int64))
-        keys = np.concatenate((more, keys))
-        hit = np.concatenate((u01_next(more, stream) < p, hit))
-        lo = left
-    if len(after):
-        right = length - 1 + int(after[0])
-    else:
-        right = _nearest(seed, stream, p, hi + 1, 1)
-        more = mix_keys(seed, np.arange(hi + 1, right + 1, dtype=np.int64))
-        keys = np.concatenate((keys, more))
-        hit = np.concatenate((hit, u01_next(more, stream) < p))
-    return lo, left, right, hit[:right - lo + 1], keys[:right - lo + 1]
+    keys, hit = _hash(seed, stream, p, lo, hi)
+    while not hit[:1 - lo].any():
+        n = _grow(-lo)
+        more = _hash(seed, stream, p, lo - n, lo - 1)
+        keys, hit = (np.concatenate(pair) for pair in zip(more, (keys, hit)))
+        lo -= n
+    while not hit[length - 1 - lo:].any():
+        n = _grow(hi - length + 1)
+        more = _hash(seed, stream, p, hi + 1, hi + n)
+        keys, hit = (np.concatenate(pair) for pair in zip((keys, hit), more))
+        hi += n
+    left = lo + int(hit[:1 - lo].nonzero()[0][-1])
+    right = length - 1 + int(hit[length - 1 - lo:].argmax())
+    cut, end = min(left, -_MARGIN) - lo, right - lo + 1
+    return lo + cut, left, right, hit[cut:end], keys[cut:end]
 
 
 def _code_field(keys: np.ndarray, zero: np.ndarray, t: float,
@@ -589,10 +592,10 @@ def painting_sample(q: int, k: int, length: int, seed: int,
 # Pipeline 2: code-field decoding
 
 
-def _zero_field_params(q: int, tv: float) -> tuple[float, float]:
+def _zero_field_params(q: int, tv: float) -> float:
+    """Density of code zeros: zero weight u = (q-1)/(q-2) against t/(1-t)."""
     u = (q - 1) / (q - 2)
-    p_zero = u / (u + tv / (1 - tv))
-    return u, p_zero
+    return u / (u + tv / (1 - tv))
 
 
 def _code_window(q: int, k: int, length: int, seed: int, t: float | None,
@@ -603,7 +606,7 @@ def _code_window(q: int, k: int, length: int, seed: int, t: float | None,
     if length < 1:
         raise ValueError("need length >= 1")
     tv, s = _resolve(q, k, t)
-    _, p_zero = _zero_field_params(q, tv)
+    p_zero = _zero_field_params(q, tv)
     lo, left, _, hit, keys = _field(seed, zero_stream, p_zero, length)
     zero, keys = hit[left - lo:], keys[left - lo:]
     entries = _code_field(keys, zero, tv, tail_stream)
@@ -677,22 +680,23 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     # Walk left through the zero set from the window's left anchor to the
     # nearest zero site whose first candidate color escapes its
     # predecessor's pair; the forward pass from that site is exact.  The
-    # margin _field hashed usually holds it; else hash on leftward.
+    # margin _field hashed usually holds it; else the zero mask grows
+    # leftward as _field grows a side.
     # The walk tests pairs from (u q)(q - 1), as the scalar walk did; the
     # forward pass takes them from u (q (q - 1)), as it always has.
     zs = lo + hit.nonzero()[0]
+    u = u01_array(seed, zs, S_FFIID_Z)
     while True:
-        u = u01_array(seed, zs, S_FFIID_Z)
         head = u[:len(zs) - len(zeros) + 1]
         resolving = _color_pairs(head * q * (q - 1), q)[2][1:].nonzero()[0]
         if len(resolving):
             break
-        if left - lo > EXTENSION_CAP:
-            raise RuntimeError("resolving-site search exceeded cap")
-        lo -= _CHUNK
-        more = _mask(seed, S_FFIID_ZERO, _zero_field_params(q, tv)[1],
-                     lo, lo + _CHUNK - 1)
-        zs = np.concatenate((lo + more.nonzero()[0], zs))
+        n = _grow(-lo)
+        more = lo - n + _hash(seed, S_FFIID_ZERO, _zero_field_params(q, tv),
+                              lo - n, lo - 1)[1].nonzero()[0]
+        zs = np.concatenate((more, zs))
+        u = np.concatenate((u01_array(seed, more, S_FFIID_Z), u))
+        lo -= n
     cut = resolving[-1] + 1
     zs = zs[cut:]
     z1, z2, escape = _color_pairs(u[cut:] * (q * (q - 1)), q)

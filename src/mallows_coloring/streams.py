@@ -111,11 +111,6 @@ def u01_from_words(words: np.ndarray, j: np.ndarray) -> np.ndarray:
     return _u01_bits(_finalize_array(z))
 
 
-def mix_array(seed: int, words: np.ndarray, stream: int) -> np.ndarray:
-    """Vectorized mix(seed, w, stream) over an array of key words."""
-    return mix_keys(seed, words, stream)
-
-
 def u01_array(seed: int, words: np.ndarray, stream: int) -> np.ndarray:
     """Vectorized u01(seed, w, stream)."""
     return u01_keys(seed, words, stream)

@@ -52,10 +52,6 @@ class RatPoly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def from_coeffs(cls, *coeffs) -> RatPoly:
-        return cls(tuple(coeffs))
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -223,11 +219,6 @@ def poly_remainder(a: RatPoly, p: RatPoly) -> RatPoly:
     if not isinstance(p, RatPoly) or p.is_zero():
         raise ZeroDivisionError("remainder modulo the zero polynomial")
     return divmod(a, p)[1]
-
-
-def eval_rational(a: RatPoly, x: Fraction) -> Fraction:
-    """Exact evaluation of a at the rational point x."""
-    return a.evaluate(x)
 
 
 def interval_enclosure(a: RatPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -40,9 +40,6 @@ class CylinderTable:
             counts[w] = counts.get(w, 0) + c
         return CylinderTable(self.length, counts, self.total + other.total)
 
-    def frequencies(self) -> dict[tuple[int, ...], float]:
-        return {w: c / self.total for w, c in self.counts.items()}
-
 
 def count_windows(colors: np.ndarray, q: int, length: int, stride: int,
                   offset: int = 0) -> CylinderTable:

@@ -42,17 +42,8 @@ class Word:
     def interval(self) -> tuple[int, int]:
         return (self.start, self.end)
 
-    def is_proper(self) -> bool:
-        return all(a != b for a, b in zip(self.chars, self.chars[1:]))
-
     def reverse(self) -> Word:
         return Word(self.start, self.chars[::-1], self.alphabet)
-
-    def delete(self, pos: int) -> Word:
-        """Remove the character at 0-based offset pos, keeping the start."""
-        if not 0 <= pos < len(self.chars):
-            raise IndexError(f"offset {pos} out of range")
-        return Word(self.start, self.chars[:pos] + self.chars[pos + 1:], self.alphabet)
 
     def append(self, c: int) -> Word:
         return Word(self.start, self.chars + (int(c),), self.alphabet)
@@ -60,21 +51,21 @@ class Word:
     def prepend(self, c: int) -> Word:
         return Word(self.start - 1, (int(c),) + self.chars, self.alphabet)
 
-    def concat(self, other: Word) -> Word:
-        if other.alphabet != self.alphabet:
-            raise ValueError("alphabet mismatch in concatenation")
-        return Word(self.start, self.chars + other.chars, self.alphabet)
-
     def pattern(self) -> tuple[int, ...]:
-        """Canonical color pattern: first-seen colors renamed 1, 2, 3, ...
+        """color_pattern of the characters."""
+        return color_pattern(self.chars)
 
-        Two words have equal patterns iff one is a color relabeling of the
-        other; all counting quantities downstream depend only on this.
-        """
-        seen: dict[int, int] = {}
-        out = []
-        for c in self.chars:
-            if c not in seen:
-                seen[c] = len(seen) + 1
-            out.append(seen[c])
-        return tuple(out)
+
+def color_pattern(chars: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical color pattern: first-seen colors renamed 1, 2, 3, ...
+
+    Two words have equal patterns iff one is a color relabeling of the
+    other; all counting quantities downstream depend only on this.
+    """
+    seen: dict[int, int] = {}
+    out = []
+    for c in chars:
+        if c not in seen:
+            seen[c] = len(seen) + 1
+        out.append(seen[c])
+    return tuple(out)

@@ -170,6 +170,20 @@ class TestUsageErrors:
         assert "error: argument --" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--q", "300", "--k", "1", "--length", "10"],
+        ["verify", "stat", "--q", "300", "--k", "1"],
+        ["radius", "--q", "300", "--k", "1"],
+    ])
+    def test_q_above_uint8_colors_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --q: need 3 <= q <= 255" in err
+        assert "uint8" in err
+        assert "Traceback" not in err
+
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
         # more shards than CPUs: every shard runs, on at most cpu_count
         # worker processes

@@ -244,12 +244,12 @@ class TestArrayKernel:
 
     def test_field_finds_nearest_hits_beyond_the_margin(self):
         # sparse fields, so the nearest hit often lies past the hashed margin
-        from mallows_coloring.sampler import _field, _mask
-        from mallows_coloring.streams import mix
+        from mallows_coloring.sampler import _field
+        from mallows_coloring.streams import mix, u01_array
         for seed in range(40):
             for length in (1, 5, 60):
                 lo, left, right, hit, keys = _field(seed, 3, 0.04, length)
-                wide = _mask(seed, 3, 0.04, -3000, length + 3000)
+                wide = u01_array(seed, np.arange(-3000, length + 3001), 3) < 0.04
                 sites = np.flatnonzero(wide) - 3000
                 assert left == sites[sites <= 0].max()
                 assert right == sites[sites >= length - 1].min()
@@ -263,14 +263,26 @@ class TestArrayKernel:
                                     ffiid_sample])
     def test_extension_invariance_on_sparse_fields(self, fn):
         # at t = 0.97 anchors and zeros are some 25 sites apart, so window
-        # ends and the ffiid lookback often reach past the hashed margin
-        for seed in range(6):
-            full = fn(5, 1, 400, seed, t=0.97)
+        # ends and the ffiid lookback often reach past the hashed margin; at
+        # t = 0.995 some 150, so a side grows by several doublings
+        for t, seed in itertools.product((0.97, 0.995), range(6)):
+            full = fn(5, 1, 400, seed, t=t)
             for m in (1, 30, 399):
-                part = fn(5, 1, m, seed, t=0.97)
+                part = fn(5, 1, m, seed, t=t)
                 assert (part.colors == full.colors[:m]).all()
                 if full.radii is not None:
                     assert (part.radii == full.radii[:m]).all()
+
+    @pytest.mark.parametrize("fn", [painting_sample, lehmer_pipeline_sample,
+                                    ffiid_sample])
+    def test_extension_past_the_cap_raises(self, fn, monkeypatch):
+        # anchors and zeros some 1500 sites apart: the nearest ones lie
+        # past a cap of 100 sites
+        from mallows_coloring import sampler
+        monkeypatch.setattr(sampler, "EXTENSION_CAP", 100)
+        for seed in range(3):
+            with pytest.raises(RuntimeError):
+                fn(5, 1, 1, seed, t=0.9995)
 
     @pytest.mark.parametrize("q,t", [(5, 0.97), (3, 0.99)])
     def test_lookback_matches_scalar_walk(self, q, t):
@@ -279,7 +291,7 @@ class TestArrayKernel:
         # predecessor's pair; sparse zeros take it past the hashed margin
         from mallows_coloring import sampler
         from mallows_coloring.streams import u01
-        p_zero = sampler._zero_field_params(q, t)[1]
+        p_zero = sampler._zero_field_params(q, t)
 
         def pair(seed, site):
             r = int(u01(seed, site, sampler.S_FFIID_Z) * q * (q - 1))
@@ -303,6 +315,12 @@ class TestArrayKernel:
 
 
 class TestUniformColoring:
+    def test_rejects_q_above_uint8_colors(self):
+        g = gamma_from_lehmer([0, 2, 1, 0], 0)
+        with pytest.raises(ValueError, match="uint8"):
+            uniform_coloring(g, 300, np.random.default_rng(0))
+        assert max(uniform_coloring(g, 255, np.random.default_rng(0)).chars) <= 255
+
     def test_path_graph_walk_law(self):
         g = gamma_from_lehmer([0, 0, 0], 0)
         rng = np.random.default_rng(5)
@@ -377,6 +395,17 @@ class TestPipelines:
     def test_rejects_inadmissible(self):
         with pytest.raises(NoSolutionError):
             painting_sample(4, 1, 10, seed=0)
+
+    @pytest.mark.parametrize("fn", [painting_sample, lehmer_pipeline_sample,
+                                    ffiid_sample])
+    def test_colors_up_to_the_uint8_limit(self, fn):
+        s = fn(255, 1, 5000, seed=2)
+        assert s.colors.min() >= 1 and s.colors.max() <= 255
+        assert (s.colors[1:] != s.colors[:-1]).all()
+        marked = s.colors[s.endpoint_mask]
+        assert (marked[1:] != marked[:-1]).all()
+        with pytest.raises(ValueError, match="uint8"):
+            fn(256, 1, 10, seed=0)
 
     def test_anchor_density(self):
         # anchors sit at the code-field zero density (q-1)(1-t)/(q-1-t)

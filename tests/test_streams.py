@@ -1,6 +1,6 @@
 import numpy as np
 
-from mallows_coloring.streams import (mix, mix_array, mix_keys, u01,
+from mallows_coloring.streams import (mix, mix_keys, u01,
                                       u01_array, u01_from_word,
                                       u01_from_words, u01_keys, u01_next)
 
@@ -10,7 +10,7 @@ def test_scalar_vector_agreement():
     for seed in (0, 1, 9_007_199_254_740_993, 2**63 - 1):
         sites = rng.integers(-10**12, 10**12, size=64)
         for stream in (0, 3, 255):
-            vec = mix_array(seed, sites, stream)
+            vec = mix_keys(seed, sites, stream)
             uv = u01_array(seed, sites, stream)
             for i in range(0, 64, 7):
                 assert int(vec[i]) == mix(seed, int(sites[i]), stream)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mallows_coloring.tpoly import (ONE, AlgebraicT, NoSolutionError, RatPoly,
-                                    T, ZERO, eval_rational, interval_enclosure,
+                                    T, ZERO, interval_enclosure,
                                     poly_remainder, solve_tuning, t_binomial,
                                     t_factorial, t_int, tuning_poly)
 
@@ -25,7 +25,7 @@ class TestTInt:
         assert t_int(3) == poly(1, 1, 1)
 
     def test_evaluates_to_n_at_one(self):
-        assert eval_rational(t_int(3), Fraction(1)) == 3
+        assert t_int(3).evaluate(Fraction(1)) == 3
 
 
 class TestTFactorial:
@@ -84,7 +84,7 @@ class TestTuningPoly:
     def test_value_at_one(self):
         for q in range(1, 10):
             for k in range(1, 6):
-                assert eval_rational(tuning_poly(q, k), Fraction(1)) \
+                assert tuning_poly(q, k).evaluate(Fraction(1)) \
                     == q * k - 2 * (k + 1)
 
     def test_order_one_to_order_two_shift(self):
@@ -93,7 +93,7 @@ class TestTuningPoly:
             assert t_int(2) * tuning_poly(q, 1) == tuning_poly(q - 1, 2)
 
     def test_rational_evaluation(self):
-        assert eval_rational(tuning_poly(3, 1), Fraction(1, 2)) == Fraction(-3, 4)
+        assert tuning_poly(3, 1).evaluate(Fraction(1, 2)) == Fraction(-3, 4)
 
 
 class TestPolyRemainder:
