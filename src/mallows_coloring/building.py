@@ -29,6 +29,7 @@ recomputation).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ _memo_alt: dict[tuple[int, ...], RatPoly] = {}
 def clear_caches() -> None:
     _memo.clear()
     _memo_alt.clear()
+    _perms_with_inversions.cache_clear()
 
 
 def building_number(x: Word) -> RatPoly:
@@ -68,14 +70,14 @@ def _building_pattern(pat: tuple[int, ...]) -> RatPoly:
     elif any(a == b for a, b in zip(pat, pat[1:])):
         result = ZERO
     else:
-        coeffs = [Fraction(0)] * (n * (n - 1) // 2 + 1)
+        coeffs = [0] * (n * (n - 1) // 2 + 1)
         for i in range(n):
             shorter = pat[:i] + pat[i + 1:]
             sub = _building_pattern(color_pattern(shorter))
             shift = n - 1 - i
             for d, c in enumerate(sub.coeffs):
                 if d + shift >= len(coeffs):
-                    coeffs.extend([Fraction(0)] * (d + shift + 1 - len(coeffs)))
+                    coeffs.extend([0] * (d + shift + 1 - len(coeffs)))
                 coeffs[d + shift] += c
         result = RatPoly(tuple(coeffs))
     _memo[pat] = result
@@ -121,11 +123,19 @@ def building_number_brute(x: Word, cap: int = BRUTE_WORD_CAP) -> RatPoly:
     n = len(x)
     if n > cap:
         raise ValueError(f"word length {n} above brute-force cap {cap}")
-    coeffs = [Fraction(0)] * (n * (n - 1) // 2 + 1)
-    for sigma in perm_mod.all_perms(x.start, n, cap=max(cap, n)):
+    coeffs = [0] * (n * (n - 1) // 2 + 1)
+    for sigma, inversions in _perms_with_inversions(x.start, n):
         if perm_mod.is_proper_building(sigma, x):
-            coeffs[sigma.inv_count()] += 1
+            coeffs[inversions] += 1
     return RatPoly(tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _perms_with_inversions(start: int, n: int) -> tuple[tuple[perm_mod.Perm, int], ...]:
+    """Every permutation of [start, start+n-1] with its inversion count;
+    the callers bound n."""
+    return tuple((sigma, sigma.inv_count())
+                 for sigma in perm_mod.all_perms(start, n, cap=n))
 
 
 def normalizer(q: int, n: int) -> RatPoly:

@@ -76,7 +76,34 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
+
+    With an indent, json runs its pure-Python encoder, one step per list
+    element.  So every non-empty list of ints held in the payload's dicts
+    (the per-site arrays of `sample`) is set aside behind a stand-in string
+    and written here, one element per line at its indent; json writes the
+    rest.  Stand-ins start with NUL, which no command-line value can hold.
+    """
+    lists: list[list[int]] = []
+
+    def set_aside(value):
+        if isinstance(value, dict):
+            return {key: set_aside(v) for key, v in value.items()}
+        if (isinstance(value, list) and value
+                and all(type(v) is int for v in value)):
+            lists.append(value)
+            return f"\0{len(lists) - 1}"
+        return value
+
+    text = json.dumps(set_aside(payload), indent=2, sort_keys=True)
+    for i, values in enumerate(lists):
+        head, tail = text.split(json.dumps(f"\0{i}"))
+        line = head[head.rfind("\n") + 1:]
+        indent = " " * (len(line) - len(line.lstrip(" ")))
+        inner = indent + "  "
+        text = (head + "[\n" + inner + (",\n" + inner).join(map(str, values))
+                + "\n" + indent + "]" + tail)
+    _emit(text + "\n", out)
 
 
 def _positive_int(text: str) -> int:
@@ -141,7 +168,7 @@ def _constant_ratio(num: tpoly.RatPoly, den: tpoly.RatPoly,
         return Fraction(0)
     if dr.is_zero() or nr.degree != dr.degree:
         return None
-    c = nr.coeffs[-1] / dr.coeffs[-1]
+    c = Fraction(nr.coeffs[-1]) / dr.coeffs[-1]
     return c if (nr - dr * c).is_zero() else None
 
 

@@ -78,7 +78,11 @@ def weights(spec: GeomSpec) -> list[Fraction]:
     if spec.variant not in _FINITE:
         raise ValueError("finite support required")
     t = Fraction(spec.t)
-    return [spec._weight(j) * t**j for j in range(spec.trunc + 1)]
+    out, power = [], Fraction(1)
+    for j in range(spec.trunc + 1):
+        out.append(spec._weight(j) * power)
+        power *= t
+    return out
 
 
 def pmf(spec: GeomSpec, j: int) -> Fraction:
@@ -190,14 +194,22 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
 
 def _dominates(s: Fraction, t: Fraction, u: Fraction, n: int) -> bool:
     """cdf(upper, r) <= cdf(lower, r) for every r, compared as running
-    prefix sums cross-multiplied by the two totals."""
-    upper = weights(GeomSpec(GeomVariant.TRUNCATED, s, trunc=n))
-    lower = weights(GeomSpec(GeomVariant.END_WEIGHTED, t, u, trunc=n))
+    prefix sums cross-multiplied by the two totals.  Scaling either weight
+    list by a positive constant leaves the verdict alone, so each is scaled
+    by the lcm of its denominators and the sums are integers."""
+    upper = _integral(weights(GeomSpec(GeomVariant.TRUNCATED, s, trunc=n)))
+    lower = _integral(weights(GeomSpec(GeomVariant.END_WEIGHTED, t, u, trunc=n)))
     total_up, total_low = sum(upper), sum(lower)
-    up = low = Fraction(0)
+    up = low = 0
     for a, b in zip(upper, lower):
         up += a
         low += b
         if up * total_low > low * total_up:
             return False
     return True
+
+
+def _integral(ws: list[Fraction]) -> list[int]:
+    """ws times the lcm of their denominators."""
+    scale = math.lcm(*(w.denominator for w in ws))
+    return [w.numerator * (scale // w.denominator) for w in ws]

@@ -17,6 +17,8 @@ import dataclasses
 import functools
 from typing import Iterable, Literal
 
+import numpy as np
+
 from .words import Word
 
 #: Largest vertex count accepted by the exhaustive coloring counter.
@@ -300,29 +302,27 @@ def color_count(graph: ConstraintGraph, q: int) -> int:
 
 def color_count_brute(graph: ConstraintGraph, q: int,
                       cap: int = BRUTE_COLORING_CAP) -> int:
-    """Exhaustive proper-coloring count by depth-first enumeration."""
+    """Exhaustive proper-coloring count.
+
+    Every proper coloring of vertices 0..v-1 is a row of a small-int array;
+    vertex v extends each row by all q colors, and the rows whose new color
+    repeats one at the far end of a back arc of v are dropped.
+    """
     if graph.n > cap:
         raise ValueError(f"vertex count {graph.n} above brute-force cap {cap}")
-    n = graph.n
-    back_arcs: list[list[int]] = [[] for _ in range(n)]
+    back_arcs: list[list[int]] = [[] for _ in range(graph.n)]
     for i, j in graph.arcs:
         back_arcs[j - graph.start].append(i - graph.start)
-    count = 0
-    colors = [0] * n
-    stack = [(0, 1)]
-    while stack:
-        v, c = stack.pop()
-        if c > q:
-            continue
-        stack.append((v, c + 1))
-        if any(colors[u] == c for u in back_arcs[v]):
-            continue
-        if v == n - 1:
-            count += 1
-            continue
-        colors[v] = c
-        stack.append((v + 1, 1))
-    return count
+    palette = np.arange(1, q + 1, dtype=np.min_scalar_type(q))
+    rows = np.zeros((1, 0), dtype=palette.dtype)
+    for v, back in enumerate(back_arcs):
+        rows = np.column_stack((np.repeat(rows, q, axis=0),
+                                np.tile(palette, len(rows))))
+        keep = np.ones(len(rows), dtype=bool)
+        for u in back:
+            keep &= rows[:, u] != rows[:, v]
+        rows = rows[keep]
+    return len(rows)
 
 
 def is_proper_building(sigma: Perm, x: Word) -> bool:
@@ -332,16 +332,16 @@ def is_proper_building(sigma: Perm, x: Word) -> bool:
     arriving character must differ from its nearest already-arrived
     neighbors on both sides.
     """
-    if sigma.interval != x.interval:
+    if sigma.start != x.start or len(sigma.image) != len(x.chars):
         raise ValueError(f"interval mismatch: {sigma.interval} vs {x.interval}")
-    order = sorted(range(len(x)), key=lambda i: sigma.image[i])
+    start, chars = x.start, x.chars
     arrived: list[int] = []
-    for pos in order:
+    for pos in sigma.inverse.image:  # positions in arrival order
         at = bisect.bisect_left(arrived, pos)
-        c = x.chars[pos]
-        if at > 0 and x.chars[arrived[at - 1]] == c:
+        c = chars[pos - start]
+        if at > 0 and chars[arrived[at - 1] - start] == c:
             return False
-        if at < len(arrived) and x.chars[arrived[at]] == c:
+        if at < len(arrived) and chars[arrived[at] - start] == c:
             return False
         arrived.insert(at, pos)
     return True

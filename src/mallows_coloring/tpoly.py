@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic over the rationals in the formal variable t.
 
 This module supplies the algebraic backbone for everything else: polynomials
-with arbitrary-precision rational coefficients, the classical t-analogues
+with arbitrary-precision rational coefficients, held as `int` where they are
+integral (building numbers, normalizers, t-analogues, defects and tuning
+polynomials all are) and as `Fraction` otherwise, the classical t-analogues
 
     [n]_t = 1 + t + ... + t^(n-1),    [n]!_t = prod_{m=1}^{n} [m]_t,
     binom(n, k)_t = [n]!_t / ([k]!_t [n-k]!_t),
@@ -36,18 +38,29 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _as_coefficient(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RatPoly:
     """Polynomial in t with rational coefficients, stored dense by degree.
 
-    Canonical form: no trailing zero coefficient; the zero polynomial has an
-    empty coefficient tuple.  Instances are immutable and safe to share.
+    Integral coefficients are held as `int`, the others as `Fraction`, so
+    arithmetic on integer polynomials never builds a Fraction.  Canonical
+    form: no trailing zero coefficient; the zero polynomial has an empty
+    coefficient tuple.  Instances are immutable and safe to share.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        cs = tuple(_as_fraction(c) for c in self.coeffs)
+        cs = tuple(map(_as_coefficient, self.coeffs))
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -60,20 +73,20 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coefficient(self, i: int) -> int | Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other) -> RatPoly:
         other = _coerce(other)
         return RatPoly(tuple(a + b for a, b in itertools.zip_longest(
-            self.coeffs, other.coeffs, fillvalue=Fraction(0))))
+            self.coeffs, other.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> RatPoly:
         other = _coerce(other)
         return RatPoly(tuple(a - b for a, b in itertools.zip_longest(
-            self.coeffs, other.coeffs, fillvalue=Fraction(0))))
+            self.coeffs, other.coeffs, fillvalue=0)))
 
     def __rsub__(self, other) -> RatPoly:
         return _coerce(other) - self
@@ -87,7 +100,7 @@ class RatPoly:
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -115,12 +128,14 @@ class RatPoly:
         rem = list(self.coeffs)
         dn = divisor.degree
         lead = divisor.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        quot = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            f = c / lead
+            # A unit lead (every tuning polynomial leads with -1) keeps
+            # integer operands integral.
+            f = c * lead if lead in (1, -1) else Fraction(c) / lead
             quot[i - dn] = f
             for j, d in enumerate(divisor.coeffs):
                 rem[i - dn + j] -= f * d
@@ -132,7 +147,7 @@ class RatPoly:
         a, b = self, _coerce(other)
         while not b.is_zero():
             a, b = b, divmod(a, b)[1]
-        return a * (1 / a.coeffs[-1]) if a.coeffs else ZERO
+        return a * (Fraction(1) / a.coeffs[-1]) if a.coeffs else ZERO
 
     def evaluate(self, x: Fraction) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -168,20 +183,20 @@ def _coerce(x) -> RatPoly:
     if isinstance(x, RatPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return RatPoly((_as_fraction(x),))
+        return RatPoly((x,))
     raise TypeError(f"cannot coerce {type(x).__name__} to RatPoly")
 
 
 ZERO = RatPoly(())
-ONE = RatPoly((Fraction(1),))
-T = RatPoly((Fraction(0), Fraction(1)))
+ONE = RatPoly((1,))
+T = RatPoly((0, 1))
 
 
 def t_int(n: int) -> RatPoly:
     """The t-integer [n]_t = 1 + t + ... + t^(n-1); [0]_t is zero."""
     if n < 0:
         raise ValueError("t-integer needs n >= 0")
-    return RatPoly((Fraction(1),) * n)
+    return RatPoly((1,) * n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mallows_coloring import building
 from mallows_coloring.building import (CylinderProb, building_number,
                                        building_number_alt,
                                        building_number_brute, consistency_factor,
@@ -55,6 +56,23 @@ class TestBuildingNumber:
     def test_brute_cap(self):
         with pytest.raises(ValueError):
             building_number_brute(Word(1, (1, 2) * 4, 5))
+
+    def test_brute_off_origin_start(self):
+        # the builders of a word depend on its characters, not on where
+        # its interval starts
+        for start in (-3, 0, 7):
+            for text in ("121", "1213", "12", "11", ""):
+                word = Word(start, tuple(int(c) for c in text), 3)
+                assert building_number_brute(word) == building_number(word)
+        assert building_number_brute(Word(5, (1, 2, 1), 3)) == poly(1, 1, 1, 1)
+
+    def test_clear_caches_empties_permutation_list(self):
+        building_number_brute(w("1213"))
+        assert building._perms_with_inversions.cache_info().currsize > 0
+        building.clear_caches()
+        assert building._perms_with_inversions.cache_info().currsize == 0
+        # the benchmark empties every module-level cache_clear it finds
+        assert callable(vars(building)["_perms_with_inversions"].cache_clear)
 
     def test_oracle_equivalence_short(self):
         for q in (3, 5):

@@ -5,7 +5,10 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from mallows_coloring.cli import build_parser, decimal_str, main
+from mallows_coloring import building, tpoly
+from mallows_coloring.cli import (_constant_ratio, _emit_json, build_parser,
+                                  decimal_str, main)
+from mallows_coloring.words import Word
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "src" / "mallows_coloring"
@@ -79,6 +82,18 @@ class TestExact:
             main(["exact", "--word", "191", "--q", "5", "--k", "1"])
         assert exc.value.code == 2
 
+    def test_constant_ratio_is_never_a_float(self):
+        p = tpoly.tuning_poly(5, 1)
+        ratio = _constant_ratio(tpoly.RatPoly((3,)), tpoly.RatPoly((2,)), p)
+        assert type(ratio) is Fraction and ratio == Fraction(3, 2)
+        for q, k in ((5, 1), (4, 2), (3, 3)):
+            p = tpoly.tuning_poly(q, k)
+            for text in ("1", "12", "121", "123", "1213", "11"):
+                word = Word.from_string(text, q)
+                ratio = _constant_ratio(building.building_number(word),
+                                        building.normalizer(q, len(word)), p)
+                assert ratio is None or type(ratio) is Fraction
+
 
 class TestSample:
     def test_csv_deterministic(self, capsys):
@@ -105,6 +120,28 @@ class TestSample:
         colors = payload["results"]["colors"]
         assert len(colors) == 50
         assert all(a != b for a, b in zip(colors, colors[1:]))
+
+    def test_json_text_matches_json_dumps(self, capsys):
+        payloads = [
+            {"results": {"colors": [1, 2, 1], "radii": [0], "endpoints": [],
+                         "flags": [True, False], "t": 0.5, "start": 0},
+             "params": {"method": "ffiid"}, "seed": None},
+            {"results": {"checks": [{"name": "a", "pass": True}],
+                         "nested": {"deep": {"values": [-3, 10**20, 0]}}},
+             "list_of_lists": [[1, 2], [3]], "version": "1"},
+        ]
+        for payload in payloads:
+            _emit_json(payload, None)
+            out = capsys.readouterr().out
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_json_sample_matches_json_dumps(self, capsys):
+        for method in ("painting", "lehmer", "ffiid"):
+            _, out = run(capsys, "sample", "--q", "4", "--k", "2", "--length",
+                         "40", "--seed", "5", "--method", method,
+                         "--format", "json")
+            assert out == json.dumps(json.loads(out), indent=2,
+                                     sort_keys=True) + "\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sample.csv"

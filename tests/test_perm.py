@@ -183,6 +183,18 @@ class TestColorCount:
         with pytest.raises(ValueError):
             color_count_brute(g, 3)
 
+    def test_brute_matches_product_count(self):
+        # every colouring of every permutation's graph, n <= 4, q in 3..5
+        for n in range(1, 5):
+            for sigma in all_perms(1, n):
+                g = constraint_graph(sigma)
+                arcs = [(i - 1, j - 1) for i, j in g.arcs]
+                for q in (3, 4, 5):
+                    proper = sum(
+                        all(c[i] != c[j] for i, j in arcs)
+                        for c in itertools.product(range(q), repeat=n))
+                    assert color_count_brute(g, q) == proper
+
     def test_formula_matches_brute_random(self):
         rng = np.random.default_rng(7)
         for _ in range(60):

@@ -215,3 +215,54 @@ class TestAlgebraicT:
         lo, hi = interval_enclosure(p, Fraction(1, 4), Fraction(1, 2))
         for x in (Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)):
             assert lo <= p.evaluate(x) <= hi
+
+
+class TestIntegerCoefficients:
+    def test_integral_coefficients_are_ints(self):
+        p = RatPoly((Fraction(4, 2), 3, Fraction(-6, 3)))
+        assert p.coeffs == (2, 3, -2)
+        assert all(type(c) is int for c in p.coeffs)
+        for q, k in ((5, 1), (4, 2), (3, 3)):
+            assert all(type(c) is int for c in tuning_poly(q, k).coeffs)
+        assert all(type(c) is int for c in t_binomial(7, 3).coeffs)
+
+    def test_non_integral_coefficients_stay_fractions(self):
+        p = RatPoly((Fraction(1, 2), 1))
+        assert p.coeffs == (Fraction(1, 2), 1)
+        assert type(p.coeffs[0]) is Fraction and type(p.coeffs[1]) is int
+        assert all(type(c) is int for c in (p * 2).coeffs)
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            RatPoly((0.5,))
+
+    def test_divmod_by_non_unit_lead(self):
+        a = poly(3, -2, 0, 5, 1)
+        d = poly(1, 2)                 # 2t + 1
+        quot, rem = divmod(a, d)
+        assert any(type(c) is Fraction for c in quot.coeffs)
+        assert quot * d + rem == a
+        assert rem.degree < d.degree
+
+    def test_divmod_by_tuning_polynomial_stays_integral(self):
+        a = t_factorial(6) * 7 + poly(1, 0, 3)
+        for q, k in ((5, 1), (4, 2), (3, 3)):
+            p = tuning_poly(q, k)
+            assert p.coeffs[-1] == -1
+            quot, rem = divmod(a, p)
+            assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+            assert quot * p + rem == a
+
+    def test_gcd_is_monic(self):
+        for a, b in ((poly(2, 4, 2), poly(3, 9, 6)),
+                     (poly(3, 5, 2), poly(3, 2)),
+                     (tuning_poly(4, 2), 3 * tuning_poly(5, 1))):
+            g = a.gcd(b)
+            assert g.coeffs[-1] == 1 and type(g.coeffs[-1]) is int
+
+    def test_evaluate_returns_fraction(self):
+        half = Fraction(1, 2)
+        for p in (ZERO, ONE, tuning_poly(5, 1), poly(Fraction(1, 3), 2)):
+            assert type(p.evaluate(half)) is Fraction
+            assert type(p.evaluate(3)) is Fraction
+        assert ZERO.evaluate(half) == 0
