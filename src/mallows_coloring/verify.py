@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from .sampler import ColoringSample
 
@@ -96,6 +95,15 @@ class TestReport:
         return dataclasses.asdict(self)
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square survival function, nan for fewer than one degree of
+    freedom; scipy is imported here so that start-up does not load it."""
+    if dof < 1:
+        return math.nan
+    from scipy.special import chdtrc
+    return float(chdtrc(dof, stat))
+
+
 def chi_square_against_exact(table: CylinderTable,
                              exact: Mapping[tuple[int, ...], Fraction | float],
                              n_eff: int | None = None,
@@ -121,7 +129,7 @@ def chi_square_against_exact(table: CylinderTable,
         observed = table.counts.get(w, 0)
         stat += (observed - expected) ** 2 / expected
     dof = len(exact) - 1
-    p_value = float(stats.chi2.sf(stat, dof))
+    p_value = _chi2_sf(stat, dof)
     return TestReport(name, stat, p_value > threshold, threshold, n,
                       p_value=p_value)
 
@@ -139,7 +147,7 @@ def two_sample_chi_square(a: CylinderTable, b: CylinderTable,
         ea, eb = na * pooled, nb * pooled
         stat += (oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb
     dof = len(words) - 1
-    p_value = float(stats.chi2.sf(stat, dof))
+    p_value = _chi2_sf(stat, dof)
     return TestReport(name, stat, p_value > threshold, threshold, na + nb,
                       p_value=p_value)
 

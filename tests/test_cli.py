@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import jsonschema
@@ -10,9 +14,9 @@ from mallows_coloring.cli import (_constant_ratio, _emit_json, build_parser,
                                   decimal_str, main)
 from mallows_coloring.words import Word
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 SCHEMA = json.loads(
-    (pathlib.Path(__file__).resolve().parents[1] / "src" / "mallows_coloring"
-     / "schemas" / "result-v1.json").read_text())
+    (SRC / "mallows_coloring" / "schemas" / "result-v1.json").read_text())
 
 
 def run(capsys, *argv):
@@ -266,6 +270,41 @@ class TestRadius:
         assert abs(res["expected_lookback_slope"] - res["lookback_tail"]["slope"]) \
             < 0.1 * abs(res["expected_lookback_slope"])
         assert res["radius_tail"]["r2"] > 0.95
+
+
+class TestStartup:
+    # After each step the script prints a line "scipy-modules: [...]" naming
+    # the scipy modules loaded so far.
+    SCRIPT = textwrap.dedent('''
+        import json, sys
+        def report():
+            names = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print("scipy-modules:", json.dumps(names))
+        import mallows_coloring
+        import mallows_coloring.cli as cli
+        report()
+        cli.main(["sample", "--q", "5", "--k", "1", "--length", "32",
+                  "--out", sys.argv[1]])
+        cli.main(["exact", "--q", "5", "--k", "1", "--word", "121"])
+        report()
+        from mallows_coloring import verify
+        table = verify.CylinderTable(1, {(1,): 3, (2,): 5}, 8)
+        verify.chi_square_against_exact(table, {(1,): 0.5, (2,): 0.5})
+        report()
+    ''')
+
+    def test_scipy_loads_only_for_a_statistical_test(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.json")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        imported, ran, tested = [
+            json.loads(line.split(":", 1)[1]) for line in proc.stdout.splitlines()
+            if line.startswith("scipy-modules:")]
+        assert imported == []
+        assert ran == []
+        assert "scipy.special" in tested
+        assert "scipy.stats" not in tested
 
 
 def test_decimal_str():

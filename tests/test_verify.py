@@ -8,9 +8,10 @@ from mallows_coloring.building import cylinder_masses
 from mallows_coloring.sampler import painting_sample
 from mallows_coloring.tpoly import solve_tuning
 from mallows_coloring.verify import (CylinderTable, InsufficientDataError,
-                                     chi_square_against_exact, count_windows,
-                                     estimate_cylinders, independence_defect,
-                                     pair_counts, synthetic_table, tail_fit,
+                                     _chi2_sf, chi_square_against_exact,
+                                     count_windows, estimate_cylinders,
+                                     independence_defect, pair_counts,
+                                     synthetic_table, tail_fit,
                                      two_sample_chi_square)
 
 
@@ -109,6 +110,28 @@ class TestChiSquare:
         a = synthetic_table(exact, 200_000, rng)
         b = synthetic_table(boost, 200_000, rng)
         assert not two_sample_chi_square(a, b).passed
+
+
+class TestChi2Sf:
+    def test_matches_scipy_stats(self):
+        # the p-values must not move: equal to chi2.sf everywhere on the
+        # grid, nan where scipy.stats gives nan (fewer than one dof)
+        from scipy import stats
+        rng = np.random.default_rng(11)
+        dofs = [*range(9), 24, 80, 624, *rng.integers(0, 701, 2000).tolist()]
+        fixed = [0.0, 1e-300, 1e-9, 0.5, 1.0, 10.0, 1e3, 1e5, math.inf]
+        for d in dofs:
+            xs = np.array(fixed + rng.exponential(max(d, 1), 8).tolist())
+            got = np.array([_chi2_sf(float(x), d) for x in xs])
+            np.testing.assert_array_equal(got, stats.chi2.sf(xs, d),
+                                          err_msg=f"dof={d}")
+
+    def test_two_sample_on_one_word_has_no_verdict(self):
+        a = CylinderTable(2, {(1, 2): 7}, 7)
+        b = CylinderTable(2, {(1, 2): 4}, 4)
+        rep = two_sample_chi_square(a, b)
+        assert math.isnan(rep.p_value)
+        assert rep.passed is False
 
 
 class TestIndependenceDefect:
