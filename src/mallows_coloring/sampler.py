@@ -19,6 +19,11 @@ derived from the seed and a site index through the documented splitting rule
 in `streams`, so extending a window never changes already-drawn sites and
 runs reproduce bit for bit.
 
+Every selection from a site-length array (keys, picks, anchors, gap
+endpoints) goes through an index array from nonzero(), never a boolean
+mask: at 10^5 sites a mask gather or scatter costs about 1-2 ms in numpy,
+the index array plus an integer take or put about 0.3 ms.
+
 Every gap between two colored sites is filled along the Cartesian tree of
 its arrival times (Vuillemin 1980).  `_splits` walks the trees of all gaps
 in a window together, one tree level at a time, with numpy arrays of gap
@@ -128,7 +133,7 @@ class ColoringSample:
             mask.setflags(write=False)
             if len(mask) != len(colors):
                 raise ValueError("endpoint mask length mismatch")
-            marked = colors[mask]
+            marked = colors[mask.nonzero()]
             if len(marked) > 1 and (marked[1:] == marked[:-1]).any():
                 raise ValueError("consecutive anchor sites share a color")
             object.__setattr__(self, "endpoint_mask", mask)
@@ -239,8 +244,8 @@ def _splits(lo: np.ndarray, hi: np.ndarray, first):
     leaves = [lo[:0]]
     while len(lo):
         width = hi - lo
-        leaves.append(lo[width == 2])
-        wide = width > 2
+        leaves.append(lo[(width == 2).nonzero()[0]])
+        wide = (width > 2).nonzero()[0]
         lo, hi = lo[wide], hi[wide]
         if not len(lo):
             break
@@ -477,12 +482,12 @@ def _grow(reach: int) -> int:
 def _field(seed: int, stream: int, p: float, length: int):
     """(lo, left, right, hit, keys): the hits nearest the window
     [0, length - 1], left <= 0 and right >= length - 1, and the hits and
-    the site keys mix_keys(seed, site) of lo..right, lo = min(left,
-    -_MARGIN).  One _hash covers the window and _MARGIN sites each side.  A
-    side with no hit grows by hashing only the sites past it, each step
-    doubling that side's reach (_grow), and the new keys and hits are
-    joined onto the old ones.  The pipelines draw their other per-site
-    uniforms from `keys` with u01_next."""
+    the site keys mix_keys(seed, site) of lo..right, lo <= min(left,
+    -_MARGIN) being the left end hashed.  One _hash covers the window and
+    _MARGIN sites each side.  A side with no hit grows by hashing only the
+    sites past it, each step doubling that side's reach (_grow), and the new
+    keys and hits are joined onto the old ones.  The pipelines draw their
+    other per-site uniforms from `keys` with u01_next."""
     lo, hi = -_MARGIN, length - 1 + _MARGIN
     keys, hit = _hash(seed, stream, p, lo, hi)
     while not hit[:1 - lo].any():
@@ -497,8 +502,8 @@ def _field(seed: int, stream: int, p: float, length: int):
         hi += n
     left = lo + int(hit[:1 - lo].nonzero()[0][-1])
     right = length - 1 + int(hit[length - 1 - lo:].argmax())
-    cut, end = min(left, -_MARGIN) - lo, right - lo + 1
-    return lo + cut, left, right, hit[cut:end], keys[cut:end]
+    end = right - lo + 1
+    return lo, left, right, hit[:end], keys[:end]
 
 
 def _code_field(keys: np.ndarray, zero: np.ndarray, t: float,
@@ -564,7 +569,7 @@ def painting_sample(q: int, k: int, length: int, seed: int,
     lo, left, _, hit, keys = _field(seed, S_PAINT_BERN, 1.0 - s, length)
     bern, keys = hit[left - lo:], keys[left - lo:]
     colors = np.empty(len(bern), dtype=np.uint8)
-    inner = ~bern
+    inner = (~bern).nonzero()[0]
     colors[inner] = _picks(u01_next(keys[inner], S_PAINT_COLOR), q)
     del inner
     anchors = bern.nonzero()[0]
@@ -619,7 +624,7 @@ def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
     tv, s, _, left, _, keys, entries, zeros = _code_window(
         q, k, length, seed, t, S_LEHMER_ZERO, S_LEHMER_TAIL)
     colors = np.empty(len(entries), dtype=np.uint8)
-    inner = entries != 0
+    inner = entries.nonzero()[0]
     colors[inner] = _picks(u01_next(keys[inner], S_BUBBLE), q)
     del inner
     colors[zeros] = _walk_colors(seed, int(zeros[0]) + left,
@@ -631,7 +636,7 @@ def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
 
     window = slice(-left, -left + length)
     sample = ColoringSample(0, colors[window], SampleParams(q, k, tv, s),
-                            seed, endpoint_mask=(entries == 0)[window])
+                            seed, endpoint_mask=entries[window] == 0)
     return sample, entries[window]
 
 
@@ -680,8 +685,8 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     # Walk left through the zero set from the window's left anchor to the
     # nearest zero site whose first candidate color escapes its
     # predecessor's pair; the forward pass from that site is exact.  The
-    # margin _field hashed usually holds it; else the zero mask grows
-    # leftward as _field grows a side.
+    # sites _field hashed usually hold it; else the zero mask grows leftward
+    # from _field's left end, as _field grows a side.
     # The walk tests pairs from (u q)(q - 1), as the scalar walk did; the
     # forward pass takes them from u (q (q - 1)), as it always has.
     zs = lo + hit.nonzero()[0]
@@ -729,9 +734,12 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     # Coding radii on the window: distance to the farthest site examined.
     window = slice(-left, -left + length)
     window_sites = np.arange(0, length, dtype=np.int64)
-    is_zero = entries[window] == 0
-    # index in zs of the last zero site at or before each window site
-    pos = np.cumsum(entries[:-left + length] == 0)[window]
+    zero = entries[:-left + length] == 0
+    is_zero = zero[window]
+    # index in zs of the last zero site at or before each window site; int32
+    # holds it, as the field has fewer than 2^31 sites (as _arrival's int32
+    # site arrays already require)
+    pos = np.cumsum(zero, dtype=np.int32)[window]
     pos += len(zs) - len(zeros) - 1
     f_plus = zs[np.minimum(pos + 1, len(zs) - 1)]
     left_reach = window_sites - reset_site[pos]
@@ -740,7 +748,7 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
 
     sample = ColoringSample(0, colors[window], SampleParams(q, k, tv, s),
                             seed, radii=radii,
-                            endpoint_mask=(entries == 0)[window])
+                            endpoint_mask=is_zero)
     zmask = (zs >= 0) & (zs <= length - 1)
     extras = {
         "entries": entries[window],

@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -253,11 +253,81 @@ class TestArrayKernel:
                 sites = np.flatnonzero(wide) - 3000
                 assert left == sites[sites <= 0].max()
                 assert right == sites[sites >= length - 1].min()
-                assert lo == min(left, -32)
+                # lo is the left end hashed: the margin, doubled until it
+                # reaches the nearest hit
+                reach = 32
+                while -reach > left:
+                    reach *= 2
+                assert lo == -reach
                 assert (hit == wide[lo + 3000:right + 3001]).all()
                 assert len(keys) == len(hit)
                 for off in (0, len(keys) // 2, len(keys) - 1):
                     assert int(keys[off]) == mix(seed, lo + off)
+
+    def test_ffiid_hashes_each_site_once(self, monkeypatch):
+        # on sparse zero fields the lookback often grows past what _field
+        # hashed; it must hash only the sites past _field's left end
+        from mallows_coloring import sampler
+        ranges = []
+        hash_ = sampler._hash
+
+        def recording(seed, stream, p, lo, hi):
+            ranges.append((lo, hi))
+            return hash_(seed, stream, p, lo, hi)
+        monkeypatch.setattr(sampler, "_hash", recording)
+        grown = 0
+        for (q, t), seed in itertools.product(
+                ((5, 0.97), (5, 0.995), (3, 0.99)), range(30)):
+            ranges.clear()
+            ffiid_detail(q, 1, 40, seed, t=t)
+            sites = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
+            assert len(np.unique(sites)) == len(sites), (q, t, seed, ranges)
+            grown += len(ranges) > 1
+        assert grown > 30
+
+    def test_splits_over_many_gaps(self):
+        # random code fields with blocks of widths 1, 2 and wide ones, walked
+        # through their arrival orders: every level matches a recursive
+        # per-gap Cartesian tree of the decrement oracle's arrival times
+        from mallows_coloring.perm import decrement_cycle_values
+        from mallows_coloring.sampler import _arrival, _earliest, _splits
+        empty = np.zeros(0, dtype=np.int64)
+        levels = list(_splits(empty, empty, None))
+        assert len(levels) == 1 and all(len(a) == 0 for a in levels[0])
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            field = [0]
+            for _ in range(int(rng.integers(1, 60))):
+                g = int(rng.choice([0, 1, rng.geometric(0.15) + 1]))
+                field += [int(rng.integers(1, 2 * (g - off) + 3))
+                          for off in range(g)] + [0]
+            entries = np.array(field, dtype=np.int64)
+            zeros = np.flatnonzero(entries == 0)
+            arrival = {}
+            for a, b in zip(zeros[:-1].tolist(), zeros[1:].tolist()):
+                values = decrement_cycle_values(field[a:b + 1], a, "lehmer")
+                arrival.update(zip(range(a, b + 1), values))
+            wide, leaves = defaultdict(list), []
+
+            def tree(a, b, depth):
+                if b - a == 2:
+                    leaves.append((depth, a + 1, a, b))
+                elif b - a > 2:
+                    v = min(range(a + 1, b), key=arrival.__getitem__)
+                    wide[depth].append((v, a, b))
+                    tree(a, v, depth + 1)
+                    tree(v, b, depth + 1)
+            for a, b in zip(zeros[:-1].tolist(), zeros[1:].tolist()):
+                tree(a, b, 0)
+            order, _, _ = _arrival(entries, zeros)
+            levels = [list(zip(*(x.tolist() for x in level))) for level in
+                      _splits(zeros[:-1], zeros[1:],
+                              _earliest(order, len(entries)))]
+            assert levels[:-1] == [sorted(wide[d], key=lambda s: s[1])
+                                   for d in range(len(wide))]
+            assert levels[-1] == [s[1:] for s in sorted(leaves)]
+            sites = [v for level in levels for v, _, _ in level]
+            assert sorted(sites) == np.flatnonzero(entries).tolist()
 
     @pytest.mark.parametrize("fn", [painting_sample, lehmer_pipeline_sample,
                                     ffiid_sample])
@@ -449,6 +519,17 @@ class TestPipelines:
         with pytest.raises(ValueError):
             ColoringSample(0, np.array([1, 2, 1]), params, 0,
                            endpoint_mask=np.array([True, False, True]))
+        # masks at the edges: none marked, all marked on a proper word, a
+        # one-site window, and a mask one site short
+        word = np.array([1, 2, 1, 3])
+        ColoringSample(0, word, params, 0, endpoint_mask=np.zeros(4, bool))
+        ColoringSample(0, word, params, 0, endpoint_mask=np.ones(4, bool))
+        for mask in (np.zeros(1, bool), np.ones(1, bool)):
+            sample = ColoringSample(0, np.array([4]), params, 0,
+                                    endpoint_mask=mask)
+            assert sample.endpoint_mask.tolist() == mask.tolist()
+        with pytest.raises(ValueError):
+            ColoringSample(0, word, params, 0, endpoint_mask=np.ones(3, bool))
 
     def test_pipelines_agree_two_sample(self, pipeline_runs):
         # pairwise agreement of 2- and 3-cylinder frequencies at a million
