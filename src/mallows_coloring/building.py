@@ -28,10 +28,13 @@ recomputation).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from . import perm as perm_mod
 from .tpoly import (ONE, RatPoly, T, ZERO, AlgebraicT, NoSolutionError,
@@ -128,6 +131,41 @@ def building_number_brute(x: Word, cap: int = BRUTE_WORD_CAP) -> RatPoly:
         if perm_mod.is_proper_building(sigma, x):
             coeffs[inversions] += 1
     return RatPoly(tuple(coeffs))
+
+
+def building_numbers_brute(q: int, n: int,
+                           cap: int = BRUTE_WORD_CAP) -> list[RatPoly]:
+    """The definition-level oracle on all q^n words of length n at once;
+    entry r is B_t of the r-th tuple of itertools.product(range(1, q + 1),
+    repeat=n).
+
+    The words are the columns of an int8 array.  Per permutation, one
+    bisect walk over the positions in arrival order pairs each arriving
+    position with its nearest arrived neighbours; the permutation builds
+    exactly the words that differ on every such pair, and adds its
+    t^inversions to each of them.
+    """
+    if n > cap:
+        raise ValueError(f"word length {n} above brute-force cap {cap}")
+    if q > 127:
+        raise ValueError(f"q={q} does not fit the oracle's int8 words")
+    columns = np.array(list(itertools.product(range(1, q + 1), repeat=n)),
+                       dtype=np.int8).reshape(q**n, n).T
+    coeffs = np.zeros((n * (n - 1) // 2 + 1, q**n), dtype=np.int64)
+    for sigma, inversions in _perms_with_inversions(1, n):
+        arrived: list[int] = []
+        pairs: list[int] = []
+        for pos in sigma.inverse.image:  # positions in arrival order
+            at = bisect.bisect_left(arrived, pos)
+            for nb in arrived[max(at - 1, 0):at + 1]:
+                pairs += (pos - 1, nb - 1)
+            arrived.insert(at, pos)
+        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        coeffs[inversions] += (columns[i] != columns[j]).all(axis=0)
+    # few distinct values, many words: build each polynomial once
+    rows, index = np.unique(coeffs.T, axis=0, return_inverse=True)
+    polys = [RatPoly(tuple(row)) for row in rows.tolist()]
+    return [polys[r] for r in index.reshape(-1).tolist()]
 
 
 @functools.lru_cache(maxsize=None)

@@ -235,22 +235,22 @@ def _exact_checks(level: str):
     def oracle_equivalence():
         for q in (3, 4, 5):
             for n in range(word_len + 1):
-                for chars in itertools.product(range(1, q + 1), repeat=n):
-                    w = Word(1, chars, q)
-                    if building.building_number(w) != building.building_number_brute(w):
+                words = itertools.product(range(1, q + 1), repeat=n)
+                for chars, brute in zip(words, building.building_numbers_brute(q, n)):
+                    if building.building_number(Word(1, chars, q)) != brute:
                         return False
         return True
 
     def consistency():
         for q in (3, 4, 5):
             for n in range(min(word_len, 5) + 1):
+                factor = building.consistency_factor(q, n)
                 for chars in itertools.product(range(1, q + 1), repeat=n):
                     w = Word(1, chars, q)
                     total = tpoly.ZERO
                     for a in range(1, q + 1):
                         total = total + building.building_number(w.append(a))
-                    expect = building.consistency_factor(q, n) * building.building_number(w)
-                    if total != expect:
+                    if total != factor * building.building_number(w):
                         return False
         return True
 
@@ -530,6 +530,12 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
+    except OSError as err:
+        if args.out is None or err.filename != args.out:
+            raise
+        sys.stderr.write(f"error: argument --out: cannot write {args.out}: "
+                         f"{err.strerror}\n")
+        return 2
 
 
 if __name__ == "__main__":

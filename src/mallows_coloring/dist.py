@@ -181,8 +181,14 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
     if u < 1:
         raise ValueError("needs u >= 1")
     n0 = math.log(u * (1 - t) / (1 - s)) / math.log(s / t)
-    st, tt, ut = Fraction(s), Fraction(t), Fraction(u)
-    verdicts = {n: _dominates(st, tt, ut, n) for n in range(1, n_max + 1)}
+    s_pows = weights(GeomSpec(GeomVariant.TRUNCATED, Fraction(s), trunc=n_max))
+    t_pows = weights(GeomSpec(GeomVariant.TRUNCATED, Fraction(t), trunc=n_max))
+    ut = Fraction(u)
+    # the n-truncated weights are the first n + 1 powers, the lower
+    # variant's two ends times u
+    verdicts = {n: _dominates(s_pows[:n + 1],
+                              [ut] + t_pows[1:n] + [ut * t_pows[n]])
+                for n in range(1, n_max + 1)}
     checked = {n: verdicts[n] for n in range(max(1, math.ceil(n0)), n_max + 1)}
     holds_from = None
     for n in range(n_max, 0, -1):
@@ -192,13 +198,13 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
     return DominanceReport(n0=n0, checked=checked, holds_from=holds_from)
 
 
-def _dominates(s: Fraction, t: Fraction, u: Fraction, n: int) -> bool:
-    """cdf(upper, r) <= cdf(lower, r) for every r, compared as running
-    prefix sums cross-multiplied by the two totals.  Scaling either weight
-    list by a positive constant leaves the verdict alone, so each is scaled
-    by the lcm of its denominators and the sums are integers."""
-    upper = _integral(weights(GeomSpec(GeomVariant.TRUNCATED, s, trunc=n)))
-    lower = _integral(weights(GeomSpec(GeomVariant.END_WEIGHTED, t, u, trunc=n)))
+def _dominates(upper: list[Fraction], lower: list[Fraction]) -> bool:
+    """cdf(upper, r) <= cdf(lower, r) for every r, for the laws with these
+    unnormalised weights, compared as running prefix sums cross-multiplied
+    by the two totals.  Scaling either weight list by a positive constant
+    leaves the verdict alone, so each is scaled by the lcm of its
+    denominators and the sums are integers."""
+    upper, lower = _integral(upper), _integral(lower)
     total_up, total_low = sum(upper), sum(lower)
     up = low = 0
     for a, b in zip(upper, lower):

@@ -301,7 +301,7 @@ def _split_offsets(u: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
     m = np.floor(ratio)
     ratio -= m
     tol = 1e-9 * gmax
-    close = np.flatnonzero((ratio < tol) | (ratio > 1.0 - tol))
+    close = ((ratio < tol) | (ratio > 1.0 - tol)).nonzero()[0]
     m = m.astype(np.int64)
     for j in close.tolist():
         m[j] = _split_offset(float(u[j]), int(g[j]), t)
@@ -403,7 +403,7 @@ def _bubble_arcs(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arrival order in each block matters.  The arcs are exactly the gaps the
     Cartesian trees of those orders split.
     """
-    zeros = np.flatnonzero(entries == 0)
+    zeros = (entries == 0).nonzero()[0]
     order, _, _ = _arrival(entries, zeros)
     gaps = [(lo, hi) for _, lo, hi in
             _splits(zeros[:-1], zeros[1:], _earliest(order, len(entries)))]
@@ -816,7 +816,7 @@ def iter_markov_states(sample: ColoringSample, entries, as_keys: bool = False):
     if len(entries) != len(sample):
         raise ValueError("entries must align with the sample window")
     q = sample.params.q
-    zero_offs = np.flatnonzero(entries == 0)
+    zero_offs = (entries == 0).nonzero()[0]
     if len(zero_offs) < 2:
         return
     lo, hi = _bubble_arcs(entries)

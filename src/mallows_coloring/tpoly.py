@@ -303,16 +303,28 @@ def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
 
     Raises NoSolutionError unless q*k > 2*(k+1).  Bisection keeps exact
     rational endpoints, halving the bracket until its width is at most
-    `precision`; the sign change is preserved at every step.
+    `precision`; the sign change is preserved at every step.  Roots are
+    memoised per (q, k, precision), since AlgebraicT is frozen;
+    solve_tuning.cache_clear empties the memo.
     """
     if isinstance(precision, str):
         precision = Fraction(precision)
+    return _solve_tuning(q, k, precision)
+
+
+# The memo sits on a private name so that a wrapper around the public one
+# (a tracer, say) leaves it reachable for clearing.
+@functools.lru_cache(maxsize=None)
+def _solve_tuning(q: int, k: int, precision) -> AlgebraicT:
     if q * k <= 2 * (k + 1):
         raise NoSolutionError(
             f"no parameter in (0,1) for q={q}, k={k}: requires qk>2(k+1)")
     p = tuning_poly(q, k)
     assert p.evaluate(0) < 0 < p.evaluate(1)
     return _bisect(q, k, p, Fraction(0), Fraction(1), precision)
+
+
+solve_tuning.cache_clear = _solve_tuning.cache_clear
 
 
 def _bisect(q: int, k: int, p: RatPoly, lo: Fraction, hi: Fraction,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from mallows_coloring import dist
-from mallows_coloring.building import (building_number, building_number_brute,
+from mallows_coloring.building import (building_number, building_numbers_brute,
                                        consistency_factor, cylinder_masses,
                                        cylinder_prob, defect_vanishes,
                                        k_dependence_defect)
@@ -48,24 +48,14 @@ def all_words(q, n):
 
 def test_criterion_1_building_oracle_equivalence():
     start = time.monotonic()
-    brute_cache = {}
     checks = 0
     for q in (3, 4, 5):
         for n in range(7):
-            for word in all_words(q, n):
-                if n <= 5:
-                    # the oracle sees the word itself, so a fault in
-                    # color_pattern (which the recurrence's memo is keyed
-                    # by) cannot hide in both sides at once
-                    brute = building_number_brute(word)
-                else:
-                    # every length-6 word would cost some 30 s; the oracle
-                    # is run once per pattern there
-                    pat = word.pattern()
-                    if pat not in brute_cache:
-                        brute_cache[pat] = building_number_brute(
-                            Word(1, pat, max(pat, default=1)))
-                    brute = brute_cache[pat]
+            # the oracle sees every word itself, so a fault in color_pattern
+            # (which the recurrence's memo is keyed by) cannot hide in both
+            # sides at once
+            for word, brute in zip(all_words(q, n),
+                                   building_numbers_brute(q, n)):
                 assert building_number(word) == brute
                 checks += 1
     elapsed = time.monotonic() - start

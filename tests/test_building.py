@@ -6,7 +6,8 @@ import pytest
 from mallows_coloring import building
 from mallows_coloring.building import (CylinderProb, building_number,
                                        building_number_alt,
-                                       building_number_brute, consistency_factor,
+                                       building_number_brute,
+                                       building_numbers_brute, consistency_factor,
                                        converse_scan, cylinder_masses,
                                        cylinder_prob, defect_vanishes,
                                        k_dependence_defect, normalizer,
@@ -79,6 +80,21 @@ class TestBuildingNumber:
             for n in range(6):
                 for word in all_words(q, n):
                     assert building_number(word) == building_number_brute(word)
+
+    def test_batched_oracle_equals_scalar_oracle(self):
+        for q in (3, 4):
+            for n in range(6):
+                batch = building_numbers_brute(q, n)
+                assert len(batch) == q**n
+                assert batch == [building_number_brute(word)
+                                 for word in all_words(q, n)]
+        assert building_numbers_brute(5, 0) == [ONE]
+
+    def test_batched_oracle_cap(self):
+        with pytest.raises(ValueError):
+            building_numbers_brute(3, 8)
+        with pytest.raises(ValueError):
+            building_numbers_brute(128, 1)
 
     def test_alt_recurrence_agrees(self):
         # the signed variant is an independent implementation; equality on

@@ -170,6 +170,21 @@ class TestVerifyExact:
         assert "k-dependence-defect" in names
         assert "tuning-roots" in names
 
+    def test_corrupted_memo_fails(self, capsys):
+        # the recurrence reads a wrong building number from its memo; the
+        # definition-level oracle must catch it
+        building.clear_caches()
+        building._memo[(1, 2, 1)] = tpoly.t_factorial(3)
+        try:
+            code, payload = run_json(capsys, "verify", "exact", "--level",
+                                     "quick")
+        finally:
+            building.clear_caches()
+        assert code == 1
+        verdicts = {c["name"]: c["pass"] for c in payload["results"]["checks"]}
+        assert not verdicts["building-oracle-equivalence"]
+        assert not payload["results"]["all_pass"]
+
 
 class TestVerifyStat:
     def test_small_stat_run_passes(self, capsys):
@@ -224,6 +239,22 @@ class TestUsageErrors:
         assert "error: argument --q: need 3 <= q <= 255" in err
         assert "uint8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "exact", "--level", "quick"],
+        ["solve-tuning", "--q", "5", "--k", "1"],
+        ["exact", "--q", "5", "--k", "1", "--word", "121"],
+        ["sample", "--q", "5", "--k", "1", "--length", "10"],
+        ["verify", "stat", "--q", "5", "--k", "1", "--method", "painting",
+         "--windows", "10", "--maxlen", "1"],
+        ["radius", "--q", "5", "--k", "1", "--length", "100"],
+    ])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        out = str(tmp_path / "missing" / "x.json")
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: argument --out: cannot write {out}: "
+                       "No such file or directory\n")
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
         # more shards than CPUs: every shard runs, on at most cpu_count

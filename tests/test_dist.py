@@ -159,6 +159,29 @@ class TestDominance:
         assert report.all_pass
         assert set(report.checked) == set(range(2, 51))
 
+    def test_reference_report_unchanged(self):
+        report = dominance_check(0.5, 0.3, 4 / 3, 50)
+        assert report == DominanceReport(
+            n0=1.2218539557031283,
+            checked={n: True for n in range(2, 51)}, holds_from=1)
+
+    @pytest.mark.parametrize("s,t,u,n_max", [(0.5, 0.3, 4 / 3, 12),
+                                             (0.4, 0.39, 2.0, 14),
+                                             (0.9, 0.5, 30.0, 10)])
+    def test_verdicts_match_cdf_definition(self, s, t, u, n_max):
+        def dominates(n):
+            upper = GeomSpec(GeomVariant.TRUNCATED, F(s), trunc=n)
+            lower = GeomSpec(GeomVariant.END_WEIGHTED, F(t), F(u), trunc=n)
+            return all(cdf(upper, r) <= cdf(lower, r) for r in range(n + 1))
+
+        report = dominance_check(s, t, u, n_max)
+        verdicts = {n: dominates(n) for n in range(1, n_max + 1)}
+        assert report.checked == {n: v for n, v in verdicts.items()
+                                  if n in report.checked}
+        tail = [n for n in range(1, n_max + 1)
+                if all(verdicts[m] for m in range(n, n_max + 1))]
+        assert report.holds_from == min(tail, default=None)
+
     def test_unit_weight_dominates_everywhere(self):
         report = dominance_check(0.5, 0.3, 1.0, 30)
         assert report.all_pass

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mallows_coloring import tpoly
 from mallows_coloring.tpoly import (ONE, AlgebraicT, NoSolutionError, RatPoly,
                                     T, ZERO, interval_enclosure,
                                     poly_remainder, solve_tuning, t_binomial,
@@ -182,6 +183,26 @@ class TestSolveTuning:
             coarse = solve_tuning(q, k, Fraction(1, 2**10))
             fine = solve_tuning(q, k)
             assert coarse.refine(fine.precision) == fine
+
+    def test_memo_returns_the_uncached_root(self):
+        solve_tuning.cache_clear()
+        for q, k in ((5, 1), (4, 2), (3, 3)):
+            cold = solve_tuning(q, k)
+            assert solve_tuning(q, k) is cold
+            assert solve_tuning(q, k, "1e-30") == cold
+            solve_tuning.cache_clear()
+            assert solve_tuning(q, k) == cold
+            assert tpoly._solve_tuning.__wrapped__(
+                q, k, Fraction(1, 10**30)) == cold
+
+    def test_memo_cleared_through_any_module_cache_clear(self):
+        # a cold start empties every cache_clear among a module's names;
+        # the memo must go even when the public name is wrapped
+        solve_tuning(5, 1)
+        for value in vars(tpoly).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        assert tpoly._solve_tuning.cache_info().currsize == 0
 
 
 class TestGcd:
