@@ -44,6 +44,8 @@ from .words import Word, color_pattern
 
 #: Longest word accepted by the brute-force building-number oracle.
 BRUTE_WORD_CAP = 7
+#: Most words the batched oracle lays out at once; its arrays grow as q^n.
+BRUTE_BATCH_WORDS = 5**7
 
 _memo: dict[tuple[int, ...], RatPoly] = {}
 _memo_alt: dict[tuple[int, ...], RatPoly] = {}
@@ -133,8 +135,7 @@ def building_number_brute(x: Word, cap: int = BRUTE_WORD_CAP) -> RatPoly:
     return RatPoly(tuple(coeffs))
 
 
-def building_numbers_brute(q: int, n: int,
-                           cap: int = BRUTE_WORD_CAP) -> list[RatPoly]:
+def building_numbers_brute(q: int, n: int) -> list[RatPoly]:
     """The definition-level oracle on all q^n words of length n at once;
     entry r is B_t of the r-th tuple of itertools.product(range(1, q + 1),
     repeat=n).
@@ -145,8 +146,10 @@ def building_numbers_brute(q: int, n: int,
     exactly the words that differ on every such pair, and adds its
     t^inversions to each of them.
     """
-    if n > cap:
-        raise ValueError(f"word length {n} above brute-force cap {cap}")
+    if n > BRUTE_WORD_CAP:
+        raise ValueError(f"word length {n} above brute-force cap {BRUTE_WORD_CAP}")
+    if q**n > BRUTE_BATCH_WORDS:
+        raise ValueError(f"{q}^{n} words above the batch cap {BRUTE_BATCH_WORDS}")
     if q > 127:
         raise ValueError(f"q={q} does not fit the oracle's int8 words")
     columns = np.array(list(itertools.product(range(1, q + 1), repeat=n)),

@@ -236,7 +236,8 @@ def _exact_checks(level: str):
         for q in (3, 4, 5):
             for n in range(word_len + 1):
                 words = itertools.product(range(1, q + 1), repeat=n)
-                for chars, brute in zip(words, building.building_numbers_brute(q, n)):
+                brutes = building.building_numbers_brute(q, n)
+                for chars, brute in zip(words, brutes, strict=True):
                     if building.building_number(Word(1, chars, q)) != brute:
                         return False
         return True

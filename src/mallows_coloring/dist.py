@@ -60,17 +60,18 @@ class GeomSpec:
         if self.trunc < 0:
             raise ValueError("trunc must be nonnegative")
 
-    def _weight(self, j: int) -> Fraction:
-        u = Fraction(self.u)
+    def _weighted_at(self) -> tuple[int, ...]:
+        """The indices whose mass carries the factor u."""
         if self.variant is GeomVariant.TRUNCATED:
-            return Fraction(1)
-        if self.variant is GeomVariant.ZERO_WEIGHTED:
-            return u if j == 0 else Fraction(1)
+            return ()
         if self.variant is GeomVariant.MAX_WEIGHTED:
-            return u if j == self.trunc else Fraction(1)
+            return (self.trunc,)
         if self.variant is GeomVariant.END_WEIGHTED:
-            return u if j in (0, self.trunc) else Fraction(1)
-        return u if j == 0 else Fraction(1)
+            return (0, self.trunc)
+        return (0,)
+
+    def _weight(self, j: int) -> Fraction:
+        return Fraction(self.u) if j in self._weighted_at() else Fraction(1)
 
 
 def weights(spec: GeomSpec) -> list[Fraction]:
@@ -181,13 +182,16 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
     if u < 1:
         raise ValueError("needs u >= 1")
     n0 = math.log(u * (1 - t) / (1 - s)) / math.log(s / t)
-    s_pows = weights(GeomSpec(GeomVariant.TRUNCATED, Fraction(s), trunc=n_max))
-    t_pows = weights(GeomSpec(GeomVariant.TRUNCATED, Fraction(t), trunc=n_max))
-    ut = Fraction(u)
-    # the n-truncated weights are the first n + 1 powers, the lower
-    # variant's two ends times u
-    verdicts = {n: _dominates(s_pows[:n + 1],
-                              [ut] + t_pows[1:n] + [ut * t_pows[n]])
+    st, tt, ut = Fraction(s), Fraction(t), Fraction(u)
+    s_pows = weights(GeomSpec(GeomVariant.TRUNCATED, st, trunc=n_max))
+    t_pows = weights(GeomSpec(GeomVariant.TRUNCATED, tt, trunc=n_max))
+
+    def lower(n: int) -> list[Fraction]:
+        at = GeomSpec(GeomVariant.END_WEIGHTED, tt, ut, trunc=n)._weighted_at()
+        return [ut * p if j in at else p for j, p in enumerate(t_pows[:n + 1])]
+
+    # the n-truncated weights are the first n + 1 powers
+    verdicts = {n: _dominates(s_pows[:n + 1], lower(n))
                 for n in range(1, n_max + 1)}
     checked = {n: verdicts[n] for n in range(max(1, math.ceil(n0)), n_max + 1)}
     holds_from = None

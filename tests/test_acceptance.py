@@ -55,7 +55,8 @@ def test_criterion_1_building_oracle_equivalence():
             # (which the recurrence's memo is keyed by) cannot hide in both
             # sides at once
             for word, brute in zip(all_words(q, n),
-                                   building_numbers_brute(q, n)):
+                                   building_numbers_brute(q, n),
+                                   strict=True):
                 assert building_number(word) == brute
                 checks += 1
     elapsed = time.monotonic() - start

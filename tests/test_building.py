@@ -93,6 +93,10 @@ class TestBuildingNumber:
     def test_batched_oracle_cap(self):
         with pytest.raises(ValueError):
             building_numbers_brute(3, 8)
+        with pytest.raises(ValueError):  # 127^7 words: refused before any array
+            building_numbers_brute(127, 7)
+        with pytest.raises(ValueError):
+            building_numbers_brute(6, 7)
         with pytest.raises(ValueError):
             building_numbers_brute(128, 1)
 

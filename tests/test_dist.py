@@ -158,9 +158,8 @@ class TestDominance:
         assert abs(report.n0 - 1.2220) < 1e-3
         assert report.all_pass
         assert set(report.checked) == set(range(2, 51))
-        assert report == DominanceReport(
-            n0=1.2218539557031283,
-            checked={n: True for n in range(2, 51)}, holds_from=1)
+        assert report.checked == {n: True for n in range(2, 51)}
+        assert report.holds_from == 1
 
     @pytest.mark.parametrize("s,t,u,n_max", [(0.5, 0.3, 4 / 3, 12),
                                              (0.4, 0.39, 2.0, 14),
