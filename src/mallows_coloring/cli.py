@@ -2,7 +2,7 @@
 
 Commands map one-to-one onto the verification families: `solve-tuning`
 (root isolation), `exact` (cylinder probabilities), `sample` (the three
-pipelines), `verify exact` (polynomial identities, no randomness),
+pipelines), `verify exact` (the exact identities of `certify`),
 `verify stat` (sampler law checks), and `radius` (coding-radius tails).
 JSON output follows the envelope {command, params, seed, results, version}
 validated by schemas/result-v1.json; identical configuration including the
@@ -16,7 +16,6 @@ import argparse
 import concurrent.futures
 import decimal
 import functools
-import itertools
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import building, dist, perm, sampler, tpoly, verify
+from . import building, certify, sampler, tpoly, verify
 from .words import Word
 
 VERSION = "1"
@@ -223,124 +222,9 @@ def _cmd_sample(args, parser) -> int:
 # verify exact
 
 
-def _exact_checks(level: str):
-    """Yield (name, callable) pairs; each callable returns True on pass.
-
-    Everything here is deterministic polynomial or integer arithmetic; no
-    random numbers are drawn.
-    """
-    word_len = 4 if level == "quick" else 6
-    pair_len = 2 if level == "quick" else 4
-
-    def oracle_equivalence():
-        for q in (3, 4, 5):
-            for n in range(word_len + 1):
-                words = itertools.product(range(1, q + 1), repeat=n)
-                brutes = building.building_numbers_brute(q, n)
-                for chars, brute in zip(words, brutes, strict=True):
-                    if building.building_number(Word(1, chars, q)) != brute:
-                        return False
-        return True
-
-    def consistency():
-        for q in (3, 4, 5):
-            for n in range(min(word_len, 5) + 1):
-                factor = building.consistency_factor(q, n)
-                for chars in itertools.product(range(1, q + 1), repeat=n):
-                    w = Word(1, chars, q)
-                    total = tpoly.ZERO
-                    for a in range(1, q + 1):
-                        total = total + building.building_number(w.append(a))
-                    if total != factor * building.building_number(w):
-                        return False
-        return True
-
-    def reversibility():
-        q = 4
-        for n in range(word_len + 1):
-            for chars in itertools.product(range(1, q + 1), repeat=n):
-                w = Word(1, chars, q)
-                if building.building_number(w) != building.building_number(w.reverse()):
-                    return False
-        return True
-
-    def tuning_roots():
-        r51 = tpoly.solve_tuning(5, 1)
-        r42 = tpoly.solve_tuning(4, 2)
-        # (3 - sqrt 5)/2 to 35 decimal places via integer square root
-        scale = 10**35
-        ref = Fraction(3 * scale - math.isqrt(5 * scale * scale), 2 * scale)
-        ok = abs(r51.midpoint - ref) < Fraction(2, 10**30)
-        ok = ok and abs(r42.midpoint - ref) < Fraction(2, 10**30)
-        ok = ok and tpoly.tuning_poly(4, 2) == tpoly.t_int(2) * tpoly.tuning_poly(5, 1)
-        r33 = tpoly.solve_tuning(3, 3)
-        ok = ok and abs(r33.to_float() - 0.5806922) < 1e-6
-        return ok
-
-    def cylinder_values():
-        root = tpoly.solve_tuning(5, 1)
-        checks = [("12", Fraction(1, 20)), ("121", Fraction(1, 100)),
-                  ("123", Fraction(1, 75))]
-        return all(building.cylinder_prob(Word.from_string(w, 5), root)
-                   .equals_fraction(v) for w, v in checks)
-
-    def k_dependence():
-        for k, q in ((1, 5), (2, 4), (3, 3)):
-            root = tpoly.solve_tuning(q, k)
-            for m in range(pair_len + 1):
-                for n in range(pair_len + 1 - m):
-                    for xc in itertools.product(range(1, q + 1), repeat=m):
-                        for yc in itertools.product(range(1, q + 1), repeat=n):
-                            defect = building.k_dependence_defect(
-                                Word(1, xc, q), Word(1, yc, q), q, k)
-                            if not building.defect_vanishes(defect, root):
-                                return False
-        return True
-
-    def z_closed_form():
-        for k, q in ((1, 5), (2, 4), (3, 3)):
-            root = tpoly.solve_tuning(q, k)
-            for n in range(5):
-                if not building.defect_vanishes(
-                        building.z_closed_form_defect(q, k, n), root):
-                    return False
-        return True
-
-    def coloring_counts():
-        wire = perm.Perm.from_one_line((6, 8, 7, 1, 9, 2, 4, 3, 5))
-        g = perm.constraint_graph(wire)
-        if perm.color_count(g, 5) != 103680:
-            return False
-        for sigma in perm.all_perms(1, 5):
-            g = perm.constraint_graph(sigma)
-            for q in (3, 4, 5):
-                if perm.color_count(g, q) != perm.color_count_brute(g, q):
-                    return False
-        return True
-
-    def converse_uniqueness():
-        root = tpoly.solve_tuning(5, 1)
-        if building.converse_scan(5, root, 6) != [1]:
-            return False
-        if building.converse_scan(5, Fraction(1, 2), 6) != []:
-            return False
-        root42 = tpoly.solve_tuning(4, 2)
-        return building.converse_scan(4, root42, 6) == [2]
-
-    def domination():
-        report = dist.dominance_check(0.5, 0.3, 4 / 3, 50)
-        return report.all_pass and abs(report.n0 - 1.222) < 1e-3
-
-    yield "building-oracle-equivalence", oracle_equivalence
-    yield "consistency-recurrence", consistency
-    yield "reversibility", reversibility
-    yield "tuning-roots", tuning_roots
-    yield "exact-cylinder-values", cylinder_values
-    yield "k-dependence-defect", k_dependence
-    yield "normalizer-closed-form", z_closed_form
-    yield "coloring-count-formula", coloring_counts
-    yield "converse-tuning-scan", converse_uniqueness
-    yield "truncated-geometric-domination", domination
+# perfbench/tracer.py replaces this binding to time each check, so
+# _cmd_verify_exact looks it up at call time.
+_exact_checks = certify.exact_checks
 
 
 def _cmd_verify_exact(args, parser) -> int:
@@ -360,7 +244,7 @@ def _cmd_verify_exact(args, parser) -> int:
 # verify stat
 
 
-def _stat_shard(q: int, k: int, method: str, windows: int, max_len: int,
+def _stat_shard(q: int, k: int, method: str, max_len: int, windows: int,
                 seed: int) -> dict:
     stride = max_len + k + 1
     length = windows * stride + max_len
@@ -373,7 +257,7 @@ def _stat_shard(q: int, k: int, method: str, windows: int, max_len: int,
     return {"tables": tables, "pairs": pairs}
 
 
-def _merge_shards(shards: list[dict], max_len: int, k: int) -> dict:
+def _merge_shards(shards: list[dict], k: int) -> dict:
     tables = shards[0]["tables"]
     for extra in shards[1:]:
         tables = {m: tables[m].merge(extra["tables"][m]) for m in tables}
@@ -396,17 +280,18 @@ def _cmd_verify_stat(args, parser) -> int:
     reports = []
     all_pass = True
     for method in methods:
-        per_shard = args.windows // args.threads
-        shard = functools.partial(_stat_shard, q, k, method, per_shard,
-                                  args.maxlen)
+        # the first windows % threads shards take one window more
+        per_shard, extra = divmod(args.windows, args.threads)
+        windows = [per_shard + (s < extra) for s in range(args.threads)]
+        shard = functools.partial(_stat_shard, q, k, method, args.maxlen)
         seeds = [args.seed + 7919 * s for s in range(args.threads)]
         if args.threads > 1:
             workers = min(args.threads, os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                shards = list(pool.map(shard, seeds))
+                shards = list(pool.map(shard, windows, seeds))
         else:
-            shards = list(map(shard, seeds))
-        merged = _merge_shards(shards, args.maxlen, k)
+            shards = list(map(shard, windows, seeds))
+        merged = _merge_shards(shards, k)
         for m in range(1, args.maxlen + 1):
             exact = building.cylinder_masses(q, m, root)
             rep = verify.chi_square_against_exact(
@@ -498,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="verify_command", required=True)
 
     pe = vsub.add_parser("exact", help="deterministic polynomial identities")
-    pe.add_argument("--level", choices=["quick", "full"], default="quick")
+    pe.add_argument("--level", choices=certify.LEVELS, default="quick")
     pe.add_argument("--out", default=None)
     pe.set_defaults(fn=_cmd_verify_exact)
 

@@ -13,137 +13,88 @@ from fractions import Fraction
 
 import numpy as np
 
-from mallows_coloring import dist
-from mallows_coloring.building import (building_number, building_numbers_brute,
-                                       consistency_factor, cylinder_masses,
-                                       cylinder_prob, defect_vanishes,
-                                       k_dependence_defect)
-from mallows_coloring.perm import (Perm, all_perms, color_count,
-                                   color_count_brute, constraint_graph,
-                                   founders, insertion_code,
+from mallows_coloring import certify, dist
+from mallows_coloring.building import cylinder_masses
+from mallows_coloring.certify import PAIRS
+from mallows_coloring.perm import (Perm, all_perms, founders, insertion_code,
                                    is_proper_building, lehmer_code)
 from mallows_coloring.sampler import (lehmer_marginal_at_origin,
                                       painting_sample, tuned_parameters)
-from mallows_coloring.tpoly import ZERO, solve_tuning, t_int, tuning_poly
+from mallows_coloring.tpoly import solve_tuning
 from mallows_coloring.verify import (chi_square_against_exact,
                                      estimate_cylinders, independence_defect,
                                      tail_fit)
 from mallows_coloring.words import Word
-
-PAIRS = ((1, 5), (2, 4), (3, 3))
 
 
 def announce(criterion, message):
     print(f"ACCEPTANCE {criterion}: PASS - {message}", flush=True)
 
 
-def all_words(q, n):
-    for chars in itertools.product(range(1, q + 1), repeat=n):
-        yield Word(1, chars, q)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
 
+def full(check):
+    """Run a library check at the full level of `verify exact`."""
+    verdict = check("full")
+    assert verdict, verdict.failure
+    return verdict
+
+
 def test_criterion_1_building_oracle_equivalence():
     start = time.monotonic()
-    checks = 0
-    for q in (3, 4, 5):
-        for n in range(7):
-            # the oracle sees every word itself, so a fault in color_pattern
-            # (which the recurrence's memo is keyed by) cannot hide in both
-            # sides at once
-            for word, brute in zip(all_words(q, n),
-                                   building_numbers_brute(q, n),
-                                   strict=True):
-                assert building_number(word) == brute
-                checks += 1
+    verdict = full(certify.oracle_equivalence)
     elapsed = time.monotonic() - start
-    assert checks >= 10_000
+    assert verdict.cases >= 10_000
     assert elapsed < 60
-    announce(1, f"building number equals brute-force oracle on {checks} "
-                f"words (lengths <= 6, q in 3..5) in {elapsed:.1f}s")
+    announce(1, f"building number equals brute-force oracle on "
+                f"{verdict.cases} words (lengths <= 6, q in 3..5) in "
+                f"{elapsed:.1f}s")
 
 
 def test_criterion_2_exact_consistency():
-    for q in (3, 4, 5):
-        for n in range(6):
-            factor = consistency_factor(q, n)
-            for word in all_words(q, n):
-                total = ZERO
-                for a in range(1, q + 1):
-                    total = total + building_number(word.append(a))
-                assert total == factor * building_number(word)
+    verdict = full(certify.consistency_recurrence)
+    assert verdict.cases == sum(q**n for q in (3, 4, 5) for n in range(6))
     announce(2, "one-character extension identity holds exactly for all words "
                 "of length <= 5, q in 3..5")
 
 
 def test_criterion_3_exact_reversibility():
-    count = 0
-    for n in range(7):
-        for word in all_words(5, n):
-            assert building_number(word) == building_number(word.reverse())
-            count += 1
-    announce(3, f"building numbers reversal-invariant on all {count} words "
-                f"of length <= 6")
+    verdict = full(certify.reversibility)
+    assert verdict.cases == sum(5**n for n in range(7))
+    announce(3, f"building numbers reversal-invariant on all {verdict.cases} "
+                f"words of length <= 6")
 
 
 def test_criterion_4_exact_k_dependence():
-    worked = k_dependence_defect(Word.from_string("1", 5),
-                                 Word.from_string("2", 5), 5, 1)
-    assert worked == 2 * t_int(3) * tuning_poly(5, 1)
-    count = 0
-    for k, q in PAIRS:
-        root = solve_tuning(q, k)
-        for m in range(5):
-            for n in range(5 - m):
-                for x in all_words(q, m):
-                    for y in all_words(q, n):
-                        assert defect_vanishes(k_dependence_defect(x, y, q, k),
-                                               root)
-                        count += 1
+    verdict = full(certify.k_dependence)
+    # the worked (5,1) defect, then each pair with |x| + |y| = s <= 4
+    pairs = sum((s + 1) * q**s for _, q in PAIRS for s in range(5))
+    assert verdict.cases == 1 + pairs
     announce(4, "k-dependence defect vanishes exactly at the tuned root "
-                f"for all {count} word pairs |x|+|y| <= 4, pairs {PAIRS}")
+                f"for all {pairs} word pairs |x|+|y| <= 4, pairs {PAIRS}")
 
 
 def test_criterion_5_tuning_roots():
-    scale = 10**40
-    ref = Fraction(3 * scale - math.isqrt(5 * scale * scale), 2 * scale)
-    r51 = solve_tuning(5, 1)
-    r42 = solve_tuning(4, 2)
-    assert abs(r51.midpoint - ref) < Fraction(2, 10**30)
-    assert abs(r42.midpoint - ref) < Fraction(2, 10**30)
-    assert abs(r51.midpoint - r42.midpoint) < Fraction(2, 10**30)
-    assert tuning_poly(4, 2) == t_int(2) * tuning_poly(5, 1)
-    r33 = solve_tuning(3, 3)
-    assert abs(r33.to_float() - 0.5806922) < 1e-6
-    announce(5, "tuned roots: t(5,1) = t(4,2) = (3-sqrt5)/2 to 1e-30; "
-                "t(3,3) = 0.580692; factor identity holds exactly")
+    full(certify.tuning_roots)
+    announce(5, "tuned roots: t(5,1) = t(4,2) = (3-sqrt5)/2 and t(3,3) = "
+                "0.5806918..., root of t + 1/t = (1+sqrt13)/2, to 1e-30; "
+                "factor identity holds exactly")
 
 
 def test_criterion_6_exact_cylinder_values():
-    root = solve_tuning(5, 1)
-    for text, value in (("12", Fraction(1, 20)), ("121", Fraction(1, 100)),
-                        ("123", Fraction(1, 75))):
-        prob = cylinder_prob(Word.from_string(text, 5), root)
-        assert prob.equals_fraction(value)
+    assert full(certify.cylinder_values).cases == 3
     announce(6, "exact cylinder values for (k,q)=(1,5): pair 1/20, "
                 "aba 1/100, abc 1/75")
 
 
 def test_criterion_7_coloring_count_formula():
-    wire = Perm.from_one_line((6, 8, 7, 1, 9, 2, 4, 3, 5))
-    assert color_count(constraint_graph(wire), 5) == 103680
-    rng = np.random.default_rng(424242)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        sigma = Perm.from_one_line(rng.permutation(n) + 1)
-        graph = constraint_graph(sigma)
-        q = int(rng.choice([3, 4, 5]))
-        assert color_count(graph, q) == color_count_brute(graph, q)
-    announce(7, "closed-form coloring count matches exhaustive count on 200 "
-                "random permutations (n <= 8) and the 9-site example = 103680")
+    # the 9-site example, S_5 at q = 3, 4, 5, and 200 drawn permutations
+    assert full(certify.coloring_counts).cases == 1 + 120 * 3 + 200
+    announce(7, "closed-form coloring count matches exhaustive count on S_5, "
+                "200 random permutations (n <= 8) and the 9-site example "
+                "= 103680")
 
 
 def test_criterion_8_sampler_law(pipeline_runs):
@@ -233,10 +184,9 @@ def test_criterion_11_distribution_lemmas():
                                      trunc=5 - (i + off))
                 expect *= dist.pmf(spec, e)
             assert weight / total == expect
-    # stochastic dominance of truncated geometrics
-    report = dist.dominance_check(0.5, 0.3, 4 / 3, 50)
-    assert abs(report.n0 - 1.222) < 1e-3
-    assert report.all_pass and set(report.checked) == set(range(2, 51))
+    # stochastic dominance of truncated geometrics, n0 = 1.222: the n0
+    # and checked-range cases, then n = 2..50
+    assert full(certify.geometric_domination).cases == 2 + 49
     # limiting law of the code entry at the origin, interval [-50, 50]
     q = 5
     tv, _ = tuned_parameters(q, 1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from mallows_coloring import building, tpoly
+from mallows_coloring import building, certify, cli, tpoly
 from mallows_coloring.cli import (_constant_ratio, _emit_json, build_parser,
                                   decimal_str, main)
 from mallows_coloring.words import Word
@@ -170,6 +171,17 @@ class TestVerifyExact:
         assert "k-dependence-defect" in names
         assert "tuning-roots" in names
 
+    def test_check_names_at_both_levels(self):
+        # the names and their order are the JSON report's; listing the
+        # checks runs none of them
+        names = ["building-oracle-equivalence", "consistency-recurrence",
+                 "reversibility", "tuning-roots", "exact-cylinder-values",
+                 "k-dependence-defect", "normalizer-closed-form",
+                 "coloring-count-formula", "converse-tuning-scan",
+                 "truncated-geometric-domination"]
+        for level in ("quick", "full"):
+            assert [name for name, _ in cli._exact_checks(level)] == names
+
     def test_corrupted_memo_fails(self, capsys):
         # the recurrence reads a wrong building number from its memo; the
         # definition-level oracle must catch it
@@ -178,12 +190,19 @@ class TestVerifyExact:
         try:
             code, payload = run_json(capsys, "verify", "exact", "--level",
                                      "quick")
+            verdict = certify.oracle_equivalence("quick")
         finally:
             building.clear_caches()
         assert code == 1
         verdicts = {c["name"]: c["pass"] for c in payload["results"]["checks"]}
         assert not verdicts["building-oracle-equivalence"]
         assert not payload["results"]["all_pass"]
+        assert not verdict and "(1, 2, 1)" in verdict.failure
+        # a clean run covers every word of length <= 4 at q = 3, 4, 5
+        clean = certify.oracle_equivalence("quick")
+        assert clean and clean.failure is None
+        assert clean.cases == sum(q**n for q in (3, 4, 5) for n in range(5))
+        assert clean.cases == 1243
 
 
 class TestVerifyStat:
@@ -196,13 +215,16 @@ class TestVerifyStat:
         assert len(payload["results"]["reports"]) == 5
 
     def test_sharded_run_matches_merge_counts(self, capsys):
-        code, payload = run_json(capsys, "verify", "stat", "--q", "5",
-                                 "--k", "1", "--method", "lehmer",
-                                 "--windows", "20000", "--seed", "5",
-                                 "--threads", "2")
-        assert code == 0
-        rep = payload["results"]["reports"][0]
-        assert rep["sample_size"] >= 20000
+        # 3 does not divide 20000: the first shard takes the spare windows.
+        # Each shard's sample also holds one window past its share.
+        for threads in (2, 3):
+            code, payload = run_json(capsys, "verify", "stat", "--q", "5",
+                                     "--k", "1", "--method", "lehmer",
+                                     "--windows", "20000", "--seed", "5",
+                                     "--threads", str(threads))
+            assert code == 0
+            for rep in payload["results"]["reports"][:3]:  # lengths 1-3
+                assert rep["sample_size"] == 20000 + threads
 
 
 class TestUsageErrors:
@@ -273,10 +295,10 @@ class TestUsageErrors:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                items = list(items)
+            def map(self, fn, *iterables):
+                items = list(zip(*iterables))
                 shards.extend(items)
-                return map(fn, items)
+                return itertools.starmap(fn, items)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -288,6 +310,7 @@ class TestUsageErrors:
         assert code in (0, 1)
         assert workers == [2]
         assert len(shards) == 5
+        assert [windows for windows, _ in shards] == [1000] * 5
         assert payload["params"]["threads"] == 5
 
 
