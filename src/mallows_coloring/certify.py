@@ -118,11 +118,13 @@ def tuning_roots(level):
         s = (1 + decimal.Decimal(13).sqrt()) / 2
         refs = {(5, 1): golden, (4, 2): golden,
                 (3, 3): (s - (s * s - 4).sqrt()) / 2}
+    tol = Fraction(2, 10**30)
     roots = {qk: tpoly.solve_tuning(*qk).midpoint for qk in refs}
-    pairs = [(f"t{qk}", roots[qk], Fraction(ref)) for qk, ref in refs.items()]
-    pairs.append(("t(5, 1) - t(4, 2)", roots[5, 1], roots[4, 2]))
-    for label, a, b in pairs:
-        yield abs(a - b) < Fraction(2, 10**30), (label, float(a - b))
+    for qk, ref in refs.items():
+        off = roots[qk] - Fraction(ref)
+        yield abs(off) < tol, (qk, "off its reference by", float(off))
+    off = roots[5, 1] - roots[4, 2]
+    yield abs(off) < tol, ("t(5,1) - t(4,2)", float(off))
     yield (tpoly.tuning_poly(4, 2) == tpoly.t_int(2) * tpoly.tuning_poly(5, 1),
            "(1 + t) p(5,1) = p(4,2)")
 
