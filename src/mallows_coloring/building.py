@@ -40,7 +40,7 @@ from . import perm as perm_mod
 from .tpoly import (ONE, RatPoly, T, ZERO, AlgebraicT, NoSolutionError,
                     interval_enclosure, poly_remainder, t_binomial,
                     t_factorial, t_int, tuning_poly)
-from .words import Word, color_pattern
+from .words import Word, color_pattern, word_columns
 
 #: Longest word accepted by the brute-force building-number oracle.
 BRUTE_WORD_CAP = 7
@@ -148,12 +148,7 @@ def building_numbers_brute(q: int, n: int) -> list[RatPoly]:
     """
     if n > BRUTE_WORD_CAP:
         raise ValueError(f"word length {n} above brute-force cap {BRUTE_WORD_CAP}")
-    if q**n > BRUTE_BATCH_WORDS:
-        raise ValueError(f"{q}^{n} words above the batch cap {BRUTE_BATCH_WORDS}")
-    if q > 127:
-        raise ValueError(f"q={q} does not fit the oracle's int8 words")
-    columns = np.array(list(itertools.product(range(1, q + 1), repeat=n)),
-                       dtype=np.int8).reshape(q**n, n).T
+    columns = word_columns(q, n, BRUTE_BATCH_WORDS)
     coeffs = np.zeros((n * (n - 1) // 2 + 1, q**n), dtype=np.int64)
     for sigma, inversions in _perms_with_inversions(1, n):
         arrived: list[int] = []

@@ -4,6 +4,17 @@ Each check decides one family of identities exactly, case by case, at a
 level, "quick" or "full", and returns a `Verdict`.  The full level covers
 larger ranges; acceptance criteria 1-7 and 11 run it.
 
+Consistency, reversibility and k-dependence are decided once per colour
+pattern class and the verdict is reported for every word of the class.
+This is exact, not a sample: B_t reads only a word's colour pattern (the
+building-oracle-equivalence check tests this on every word against an
+oracle that reads the word itself), and renaming colours by a bijection of
+1..q maps the appended letter, the reversed word and the q^k middle words
+one-to-one onto those of the renamed word, so each identity holds for a
+word iff it holds for its pattern.  For k-dependence the class of (x, y)
+is (|x|, pattern of x + y), so x and y are renamed together.  The memos are
+local to one check call.
+
 Layer functions are called through their modules (`building.building_number`,
 not a name imported from `building`), so a wrapper installed on a module
 attribute sees every call a check makes.
@@ -21,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import building, dist, perm, tpoly
-from .words import Word
+from .words import Word, color_pattern
 
 #: (k, q) pairs of the k-dependence and closed-form checks.
 PAIRS = ((1, 5), (2, 4), (3, 3))
@@ -84,28 +95,37 @@ def oracle_equivalence(level):
 @_check("consistency-recurrence")
 def consistency_recurrence(level):
     """The sum of B_t over a word's one-character extensions is B_t times
-    consistency_factor; cases are (q, word)."""
+    consistency_factor, decided once per colour pattern; cases are
+    (q, word)."""
     for q in (3, 4, 5):
         for n in range((5 if level == "full" else 4) + 1):
             factor = building.consistency_factor(q, n)
+            decided: dict[tuple[int, ...], bool] = {}
             for chars in _words(q, n):
-                w = Word(1, chars, q)
-                total = tpoly.ZERO
-                for a in range(1, q + 1):
-                    total = total + building.building_number(w.append(a))
-                yield total == factor * building.building_number(w), (q, chars)
+                pat = color_pattern(chars)
+                if pat not in decided:
+                    w = Word(1, pat, q)
+                    total = tpoly.ZERO
+                    for a in range(1, q + 1):
+                        total = total + building.building_number(w.append(a))
+                    decided[pat] = total == factor * building.building_number(w)
+                yield decided[pat], (q, chars)
 
 
 @_check("reversibility")
 def reversibility(level):
-    """B_t is reversal-invariant; the full level's words over 1..5 include
-    those over 1..4."""
+    """B_t is reversal-invariant, decided once per colour pattern; the full
+    level's words over 1..5 include those over 1..4."""
     q, longest = (5, 6) if level == "full" else (4, 4)
+    decided: dict[tuple[int, ...], bool] = {}
     for n in range(longest + 1):
         for chars in _words(q, n):
-            w = Word(1, chars, q)
-            yield (building.building_number(w)
-                   == building.building_number(w.reverse()), chars)
+            pat = color_pattern(chars)
+            if pat not in decided:
+                w = Word(1, pat, q)
+                decided[pat] = (building.building_number(w)
+                                == building.building_number(w.reverse()))
+            yield decided[pat], chars
 
 
 @_check("tuning-roots")
@@ -141,8 +161,9 @@ def cylinder_values(level):
 
 @_check("k-dependence-defect")
 def k_dependence(level):
-    """The k-dependence defect vanishes at t(q, k), and at the full level
-    the worked (5,1) defect is 2 [3]_t p(5,1); cases are (k, q, x, y)."""
+    """The k-dependence defect vanishes at t(q, k), decided once per split
+    colour pattern, and at the full level the worked (5,1) defect is
+    2 [3]_t p(5,1); cases are (k, q, x, y)."""
     longest = 4 if level == "full" else 2
     if level == "full":
         worked = building.k_dependence_defect(
@@ -151,14 +172,17 @@ def k_dependence(level):
                ("worked (5,1) defect", worked))
     for k, q in PAIRS:
         root = tpoly.solve_tuning(q, k)
+        decided: dict[tuple[int, tuple[int, ...]], bool] = {}
         for m in range(longest + 1):
             for n in range(longest + 1 - m):
                 for xc in _words(q, m):
                     for yc in _words(q, n):
-                        defect = building.k_dependence_defect(
-                            Word(1, xc, q), Word(1, yc, q), q, k)
-                        yield (building.defect_vanishes(defect, root),
-                               (k, q, xc, yc))
+                        pat = color_pattern(xc + yc)
+                        if (m, pat) not in decided:
+                            defect = building.k_dependence_defect(
+                                Word(1, pat[:m], q), Word(1, pat[m:], q), q, k)
+                            decided[m, pat] = building.defect_vanishes(defect, root)
+                        yield decided[m, pat], (k, q, xc, yc)
 
 
 @_check("normalizer-closed-form")
@@ -178,18 +202,20 @@ def coloring_counts(level):
     wire = perm.Perm.from_one_line((6, 8, 7, 1, 9, 2, 4, 3, 5))
     count = perm.color_count(perm.constraint_graph(wire), 5)
     yield count == 103680, ("9-site example", count)
-    cases = [(sigma, (3, 4, 5)) for sigma in perm.all_perms(1, 5)]
+    cases = []  # (one-line image, constraint graph, q)
+    for sigma in perm.all_perms(1, 5):
+        g = perm.constraint_graph(sigma)
+        cases += [(sigma.image, g, q) for q in (3, 4, 5)]
     if level == "full":
         rng = np.random.default_rng(424242)
         for _ in range(200):
             n = int(rng.integers(1, 9))
             sigma = perm.Perm.from_one_line(rng.permutation(n) + 1)
-            cases.append((sigma, (int(rng.choice([3, 4, 5])),)))
-    for sigma, qs in cases:
-        g = perm.constraint_graph(sigma)
-        for q in qs:
-            yield (perm.color_count(g, q) == perm.color_count_brute(g, q),
-                   (q, sigma.image))
+            cases.append((sigma.image, perm.constraint_graph(sigma),
+                          int(rng.choice([3, 4, 5]))))
+    brute = perm.color_counts_brute((g, q) for _, g, q in cases)
+    for (image, g, q), count in zip(cases, brute, strict=True):
+        yield perm.color_count(g, q) == count, (q, image)
 
 
 @_check("converse-tuning-scan")

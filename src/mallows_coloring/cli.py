@@ -247,7 +247,9 @@ def _cmd_verify_exact(args, parser) -> int:
 def _stat_shard(q: int, k: int, method: str, max_len: int, windows: int,
                 seed: int) -> dict:
     stride = max_len + k + 1
-    length = windows * stride + max_len
+    # exactly `windows` windows of length max_len fit; one window still
+    # leaves room for the gap-(k + 1) pair
+    length = max((windows - 1) * stride + max_len, k + 2)
     sample = _PIPELINES[method](q, k, length, seed)
     tables = verify.estimate_cylinders(sample, max_len)
     pairs = {}

@@ -19,10 +19,13 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .words import Word
+from .words import Word, word_columns
 
-#: Largest vertex count accepted by the exhaustive coloring counter.
+#: Largest vertex count accepted by the exhaustive coloring counters.
 BRUTE_COLORING_CAP = 10
+#: Most words the batched coloring counter lays out at once; its arrays
+#: grow as q^n.
+BRUTE_COLORING_WORDS = 5**8
 
 #: Largest length accepted by exhaustive permutation enumerations.
 BRUTE_PERM_CAP = 8
@@ -323,6 +326,33 @@ def color_count_brute(graph: ConstraintGraph, q: int,
             keep &= rows[:, u] != rows[:, v]
         rows = rows[keep]
     return len(rows)
+
+
+def color_counts_brute(cases: Iterable[tuple[ConstraintGraph, int]]) -> list[int]:
+    """Exhaustive proper-coloring counts of many (graph, q) cases at once;
+    entry i counts the proper q-colorings of the i-th case's graph.
+
+    Per (q, n), all q^n words are the columns of one int8 array, and a word
+    colors a graph properly iff it differs at the two ends of every arc: one
+    comparison per arc, then a count over the words.
+    """
+    cases = list(cases)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (graph, q) in enumerate(cases):
+        if graph.n > BRUTE_COLORING_CAP:
+            raise ValueError(f"vertex count {graph.n} above brute-force cap "
+                             f"{BRUTE_COLORING_CAP}")
+        shapes.setdefault((q, graph.n), []).append(i)
+    counts = [0] * len(cases)
+    for (q, n), members in shapes.items():
+        columns = word_columns(q, n, BRUTE_COLORING_WORDS)
+        for i in members:
+            graph = cases[i][0]
+            proper = np.ones(q**n, dtype=bool)
+            for u, v in graph.arcs:
+                proper &= columns[u - graph.start] != columns[v - graph.start]
+            counts[i] = int(np.count_nonzero(proper))
+    return counts
 
 
 def is_proper_building(sigma: Perm, x: Word) -> bool:

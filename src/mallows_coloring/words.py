@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 
 @dataclasses.dataclass(frozen=True)
 class Word:
@@ -69,3 +71,15 @@ def color_pattern(chars: tuple[int, ...]) -> tuple[int, ...]:
             seen[c] = len(seen) + 1
         out.append(seen[c])
     return tuple(out)
+
+
+def word_columns(q: int, n: int, cap: int) -> np.ndarray:
+    """All q^n words of length n over 1..q as the columns of an int8 array
+    of shape (n, q^n); column r is the r-th tuple of
+    itertools.product(range(1, q + 1), repeat=n).  More than `cap` words,
+    or q above 127, is refused before any array is built."""
+    if q**n > cap:
+        raise ValueError(f"{q}^{n} words above the batch cap {cap}")
+    if q > 127:
+        raise ValueError(f"q={q} does not fit int8 words")
+    return np.indices((q,) * n, dtype=np.int8).reshape(n, q**n) + 1

@@ -204,6 +204,28 @@ class TestVerifyExact:
         assert clean.cases == sum(q**n for q in (3, 4, 5) for n in range(5))
         assert clean.cases == 1243
 
+    def test_corrupted_class_fails_on_its_first_word(self):
+        # a wrong building number on a length-5 pattern, which the quick
+        # oracle check never reads: the checks that decide each colour
+        # pattern class once still fail at the first word whose case reads it
+        building.clear_caches()
+        building._memo[(1, 2, 1, 2, 1)] = tpoly.t_factorial(5)
+        try:
+            consistency = certify.consistency_recurrence("quick")
+            dependence = certify.k_dependence("quick")
+        finally:
+            building.clear_caches()
+        assert (consistency.failure
+                == "consistency-recurrence fails at (3, (1, 2, 1, 2))")
+        assert (dependence.failure
+                == "k-dependence-defect fails at (3, 3, (), (1, 2))")
+        assert (consistency.cases, dependence.cases) == (51, 149)
+        # clean runs still count one case per word, per (k, q, x, y) and
+        # per (q, permutation)
+        assert certify.consistency_recurrence("quick").cases == 1243
+        assert certify.k_dependence("quick").cases == 177
+        assert certify.coloring_counts("quick").cases == 361
+
 
 class TestVerifyStat:
     def test_small_stat_run_passes(self, capsys):
@@ -215,8 +237,8 @@ class TestVerifyStat:
         assert len(payload["results"]["reports"]) == 5
 
     def test_sharded_run_matches_merge_counts(self, capsys):
-        # 3 does not divide 20000: the first shard takes the spare windows.
-        # Each shard's sample also holds one window past its share.
+        # 3 does not divide 20000: the first shard takes the spare windows,
+        # and every shard counts exactly its share.
         for threads in (2, 3):
             code, payload = run_json(capsys, "verify", "stat", "--q", "5",
                                      "--k", "1", "--method", "lehmer",
@@ -224,7 +246,7 @@ class TestVerifyStat:
                                      "--threads", str(threads))
             assert code == 0
             for rep in payload["results"]["reports"][:3]:  # lengths 1-3
-                assert rep["sample_size"] == 20000 + threads
+                assert rep["sample_size"] == 20000
 
 
 class TestUsageErrors:

@@ -5,7 +5,8 @@ import pytest
 
 from mallows_coloring.perm import (BRUTE_PERM_CAP, ConstraintGraph, LehmerSeq,
                                    Perm, all_perms, bubbles, color_count,
-                                   color_count_brute, constraint_graph,
+                                   color_count_brute, color_counts_brute,
+                                   constraint_graph,
                                    decode_insertion, decode_lehmer,
                                    decrement_cycle_values, founders,
                                    insertion_code, is_proper_building,
@@ -194,6 +195,25 @@ class TestColorCount:
                         all(c[i] != c[j] for i, j in arcs)
                         for c in itertools.product(range(q), repeat=n))
                     assert color_count_brute(g, q) == proper
+
+    def test_batched_brute_matches_scalar(self):
+        # every permutation graph of S_1..S_6 at q = 3, 4, 5 in one call,
+        # and graphs off the origin
+        cases = [(constraint_graph(sigma), q) for n in range(1, 7)
+                 for sigma in all_perms(1, n) for q in (3, 4, 5)]
+        cases += [(constraint_graph(sigma), 4) for sigma in all_perms(3, 4)]
+        assert (color_counts_brute(cases)
+                == [color_count_brute(g, q) for g, q in cases])
+
+    def test_batched_brute_cap(self):
+        with pytest.raises(ValueError):  # 11 vertices
+            color_counts_brute([(constraint_graph(Perm.identity(1, 11)), 3)])
+        with pytest.raises(ValueError):  # 5^9 words
+            color_counts_brute([(constraint_graph(WIRE), 5)])
+        with pytest.raises(ValueError):  # 127^7 words: refused before any array
+            color_counts_brute([(constraint_graph(Perm.identity(1, 7)), 127)])
+        with pytest.raises(ValueError):
+            color_counts_brute([(constraint_graph(Perm.identity(1, 1)), 128)])
 
     def test_formula_matches_brute_random(self):
         rng = np.random.default_rng(7)
