@@ -336,22 +336,19 @@ def color_counts_brute(cases: Iterable[tuple[ConstraintGraph, int]]) -> list[int
     colors a graph properly iff it differs at the two ends of every arc: one
     comparison per arc, then a count over the words.
     """
-    cases = list(cases)
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, (graph, q) in enumerate(cases):
+    words: dict[tuple[int, int], np.ndarray] = {}
+    counts = []
+    for graph, q in cases:
         if graph.n > BRUTE_COLORING_CAP:
             raise ValueError(f"vertex count {graph.n} above brute-force cap "
                              f"{BRUTE_COLORING_CAP}")
-        shapes.setdefault((q, graph.n), []).append(i)
-    counts = [0] * len(cases)
-    for (q, n), members in shapes.items():
-        columns = word_columns(q, n, BRUTE_COLORING_WORDS)
-        for i in members:
-            graph = cases[i][0]
-            proper = np.ones(q**n, dtype=bool)
-            for u, v in graph.arcs:
-                proper &= columns[u - graph.start] != columns[v - graph.start]
-            counts[i] = int(np.count_nonzero(proper))
+        if (q, graph.n) not in words:
+            words[q, graph.n] = word_columns(q, graph.n, BRUTE_COLORING_WORDS)
+        columns = words[q, graph.n]
+        proper = np.ones(columns.shape[1], dtype=bool)
+        for u, v in graph.arcs:
+            proper &= columns[u - graph.start] != columns[v - graph.start]
+        counts.append(int(np.count_nonzero(proper)))
     return counts
 
 
