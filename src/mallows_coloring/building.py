@@ -31,16 +31,15 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
-import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from . import perm as perm_mod
-from .tpoly import (ONE, RatPoly, T, ZERO, AlgebraicT, NoSolutionError,
+from .tpoly import (ONE, RatPoly, T, ZERO, AlgebraicT, check_admissible,
                     interval_enclosure, poly_remainder, t_binomial,
                     t_factorial, t_int, tuning_poly)
-from .words import Word, color_pattern, word_columns
+from .words import Word, color_pattern, is_proper, word_columns, word_tuples
 
 #: Longest word accepted by the brute-force building-number oracle.
 BRUTE_WORD_CAP = 7
@@ -72,7 +71,7 @@ def _building_pattern(pat: tuple[int, ...]) -> RatPoly:
     n = len(pat)
     if n == 0:
         result = ONE
-    elif any(a == b for a, b in zip(pat, pat[1:])):
+    elif not is_proper(pat):
         result = ZERO
     else:
         coeffs = [0] * (n * (n - 1) // 2 + 1)
@@ -122,12 +121,12 @@ def _building_alt(pat: tuple[int, ...]) -> RatPoly:
     return result
 
 
-def building_number_brute(x: Word, cap: int = BRUTE_WORD_CAP) -> RatPoly:
+def building_number_brute(x: Word) -> RatPoly:
     """Definition-level oracle: enumerate all permutations of the index
     interval, test the proper-building condition, and sum t^inversions."""
     n = len(x)
-    if n > cap:
-        raise ValueError(f"word length {n} above brute-force cap {cap}")
+    if n > BRUTE_WORD_CAP:
+        raise ValueError(f"word length {n} above brute-force cap {BRUTE_WORD_CAP}")
     coeffs = [0] * (n * (n - 1) // 2 + 1)
     for sigma, inversions in _perms_with_inversions(x.start, n):
         if perm_mod.is_proper_building(sigma, x):
@@ -137,8 +136,7 @@ def building_number_brute(x: Word, cap: int = BRUTE_WORD_CAP) -> RatPoly:
 
 def building_numbers_brute(q: int, n: int) -> list[RatPoly]:
     """The definition-level oracle on all q^n words of length n at once;
-    entry r is B_t of the r-th tuple of itertools.product(range(1, q + 1),
-    repeat=n).
+    entry r is B_t of the r-th tuple of word_tuples(q, n).
 
     The words are the columns of an int8 array.  Per permutation, one
     bisect walk over the positions in arrival order pairs each arriving
@@ -171,19 +169,20 @@ def _perms_with_inversions(start: int, n: int) -> tuple[tuple[perm_mod.Perm, int
     """Every permutation of [start, start+n-1] with its inversion count;
     the callers bound n."""
     return tuple((sigma, sigma.inv_count())
-                 for sigma in perm_mod.all_perms(start, n, cap=n))
+                 for sigma in perm_mod.all_perms(start, n))
 
 
 def normalizer(q: int, n: int) -> RatPoly:
-    """Z(t, q, n) = prod_{j=1}^{n} (q [j]_t - [2]_t [j-1]_t); equals the sum
-    of building numbers over all q^n words of length n."""
+    """Z(t, q, n) = prod_{j=1}^{n} (q [j]_t - [2]_t [j-1]_t), the product of
+    consistency_factor(q, j) for j < n; equals the sum of building numbers
+    over all q^n words of length n."""
     if q < 3:
         raise ValueError("normalizer needs q >= 3")
     if n < 0:
         raise ValueError("normalizer needs n >= 0")
     out = ONE
-    for j in range(1, n + 1):
-        out = out * (q * t_int(j) - t_int(2) * t_int(j - 1))
+    for j in range(n):
+        out = out * consistency_factor(q, j)
     return out
 
 
@@ -253,18 +252,16 @@ def cylinder_masses(q: int, length: int, tq: AlgebraicT | Fraction) -> dict[tupl
     t = tq.midpoint if isinstance(tq, AlgebraicT) else Fraction(tq)
     z = normalizer(q, length).evaluate(t)
     out: dict[tuple[int, ...], Fraction] = {}
-    for chars in itertools.product(range(1, q + 1), repeat=length):
-        if any(a == b for a, b in zip(chars, chars[1:])):
-            continue
-        w = Word(1, chars, q)
-        out[chars] = building_number(w).evaluate(t) / z
+    for chars in word_tuples(q, length):
+        if is_proper(chars):
+            out[chars] = building_number(Word(1, chars, q)).evaluate(t) / z
     return out
 
 
 def star_sum(x: Word, y: Word, q: int, k: int) -> RatPoly:
     """Sum of building numbers of x a y over all q^k middle words a."""
     total = ZERO
-    for mid in itertools.product(range(1, q + 1), repeat=k):
+    for mid in word_tuples(q, k):
         joined = Word(1, x.chars + mid + y.chars, q)
         total = total + building_number(joined)
     return total
@@ -312,9 +309,7 @@ def z_closed_form_defect(q: int, k: int, n: int) -> RatPoly:
     which callers assert vanishes at the tuned parameter with
     defect_vanishes.
     """
-    if q * k <= 2 * (k + 1):
-        raise NoSolutionError(
-            f"closed form needs an admissible pair: q={q}, k={k} has qk<=2(k+1)")
+    check_admissible(q, k)
     return (t_int(k + 1) ** n * normalizer(q, n)
             - t_factorial(n) * q**n * t_binomial(k + n, k))
 

@@ -25,14 +25,13 @@ from __future__ import annotations
 import dataclasses
 import decimal
 import functools
-import itertools
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import building, dist, perm, tpoly
-from .words import Word, color_pattern
+from .words import Word, color_pattern, word_tuples
 
 #: (k, q) pairs of the k-dependence and closed-form checks.
 PAIRS = ((1, 5), (2, 4), (3, 3))
@@ -76,10 +75,6 @@ def _check(name: str):
     return register
 
 
-def _words(q: int, n: int):
-    return itertools.product(range(1, q + 1), repeat=n)
-
-
 @_check("building-oracle-equivalence")
 def oracle_equivalence(level):
     """B_t by recurrence equals the oracle, which reads each word rather
@@ -87,7 +82,7 @@ def oracle_equivalence(level):
     for q in (3, 4, 5):
         for n in range((6 if level == "full" else 4) + 1):
             brutes = building.building_numbers_brute(q, n)
-            for chars, brute in zip(_words(q, n), brutes, strict=True):
+            for chars, brute in zip(word_tuples(q, n), brutes, strict=True):
                 w = Word(1, chars, q)
                 yield building.building_number(w) == brute, (q, chars)
 
@@ -101,7 +96,7 @@ def consistency_recurrence(level):
         for n in range((5 if level == "full" else 4) + 1):
             factor = building.consistency_factor(q, n)
             decided: dict[tuple[int, ...], bool] = {}
-            for chars in _words(q, n):
+            for chars in word_tuples(q, n):
                 pat = color_pattern(chars)
                 if pat not in decided:
                     w = Word(1, pat, q)
@@ -119,7 +114,7 @@ def reversibility(level):
     q, longest = (5, 6) if level == "full" else (4, 4)
     decided: dict[tuple[int, ...], bool] = {}
     for n in range(longest + 1):
-        for chars in _words(q, n):
+        for chars in word_tuples(q, n):
             pat = color_pattern(chars)
             if pat not in decided:
                 w = Word(1, pat, q)
@@ -175,8 +170,8 @@ def k_dependence(level):
         decided: dict[tuple[int, tuple[int, ...]], bool] = {}
         for m in range(longest + 1):
             for n in range(longest + 1 - m):
-                for xc in _words(q, m):
-                    for yc in _words(q, n):
+                for xc in word_tuples(q, m):
+                    for yc in word_tuples(q, n):
                         pat = color_pattern(xc + yc)
                         if (m, pat) not in decided:
                             defect = building.k_dependence_defect(

@@ -121,13 +121,8 @@ def _precision(text: str) -> str:
     raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
 
 
-def _require_admissible(parser: argparse.ArgumentParser, q: int, k: int) -> None:
-    if q * k <= 2 * (k + 1):
-        parser.error(f"inadmissible parameters q={q}, k={k}: requires qk>2(k+1)")
-
-
 def _require_sampleable(parser: argparse.ArgumentParser, q: int, k: int) -> None:
-    _require_admissible(parser, q, k)
+    tpoly.check_admissible(q, k)
     try:
         sampler.check_q(q)
     except ValueError as err:
@@ -139,7 +134,6 @@ def _require_sampleable(parser: argparse.ArgumentParser, q: int, k: int) -> None
 
 
 def _cmd_solve_tuning(args, parser) -> int:
-    _require_admissible(parser, args.q, args.k)
     root = tpoly.solve_tuning(args.q, args.k, Fraction(args.precision))
     results = {
         "polynomial": _poly_strings(root.poly),
@@ -172,12 +166,11 @@ def _constant_ratio(num: tpoly.RatPoly, den: tpoly.RatPoly,
 
 
 def _cmd_exact(args, parser) -> int:
-    _require_admissible(parser, args.q, args.k)
+    root = tpoly.solve_tuning(args.q, args.k, Fraction(args.precision))
     try:
         word = Word.from_string(args.word, args.q)
     except ValueError as err:
         parser.error(str(err))
-    root = tpoly.solve_tuning(args.q, args.k, Fraction(args.precision))
     prob = building.cylinder_prob(word, root)
     exact = _constant_ratio(prob.numerator, prob.denominator, root.poly)
     results = {
@@ -246,7 +239,7 @@ def _cmd_verify_exact(args, parser) -> int:
 
 def _stat_shard(q: int, k: int, method: str, max_len: int, windows: int,
                 seed: int) -> dict:
-    stride = max_len + k + 1
+    stride = verify.independent_stride(max_len, k)
     # exactly `windows` windows of length max_len fit; one window still
     # leaves room for the gap-(k + 1) pair
     length = max((windows - 1) * stride + max_len, k + 2)
@@ -423,6 +416,9 @@ def main(argv=None) -> int:
             raise
         sys.stderr.write(f"error: argument --out: cannot write {args.out}: "
                          f"{err.strerror}\n")
+        return 2
+    except MemoryError as err:
+        sys.stderr.write(f"error: not enough memory for this request: {err}\n")
         return 2
 
 

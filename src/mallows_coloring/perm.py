@@ -303,16 +303,16 @@ def color_count(graph: ConstraintGraph, q: int) -> int:
     return q * (q - 2) ** (n - 1 - b) * (q - 1) ** b
 
 
-def color_count_brute(graph: ConstraintGraph, q: int,
-                      cap: int = BRUTE_COLORING_CAP) -> int:
+def color_count_brute(graph: ConstraintGraph, q: int) -> int:
     """Exhaustive proper-coloring count.
 
     Every proper coloring of vertices 0..v-1 is a row of a small-int array;
     vertex v extends each row by all q colors, and the rows whose new color
     repeats one at the far end of a back arc of v are dropped.
     """
-    if graph.n > cap:
-        raise ValueError(f"vertex count {graph.n} above brute-force cap {cap}")
+    if graph.n > BRUTE_COLORING_CAP:
+        raise ValueError(f"vertex count {graph.n} above brute-force cap "
+                         f"{BRUTE_COLORING_CAP}")
     back_arcs: list[list[int]] = [[] for _ in range(graph.n)]
     for i, j in graph.arcs:
         back_arcs[j - graph.start].append(i - graph.start)
@@ -374,10 +374,11 @@ def is_proper_building(sigma: Perm, x: Word) -> bool:
     return True
 
 
-def all_perms(start: int, n: int, cap: int = BRUTE_PERM_CAP):
-    """Yield every permutation of [start, start+n-1]; n is capped."""
-    if n > cap:
-        raise ValueError(f"length {n} above enumeration cap {cap}")
+def all_perms(start: int, n: int):
+    """Yield every permutation of [start, start+n-1]; n is at most
+    BRUTE_PERM_CAP."""
+    if n > BRUTE_PERM_CAP:
+        raise ValueError(f"length {n} above enumeration cap {BRUTE_PERM_CAP}")
     import itertools
     for img in itertools.permutations(range(start, start + n)):
         yield Perm(start, img)

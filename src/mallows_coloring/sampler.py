@@ -146,12 +146,16 @@ class ColoringSample:
         return (self.start, self.start + len(self.colors) - 1)
 
 
+def _with_gap_density(q: int, t: float) -> tuple[float, float]:
+    """(t, s), s = t(q-2)/(q-1-t) being the density of gap-interior sites."""
+    return t, t * (q - 2) / (q - 1 - t)
+
+
 @functools.lru_cache(maxsize=None)
 def tuned_parameters(q: int, k: int) -> tuple[float, float]:
     """(t, s) at double precision; t isolated to width 1e-15."""
     from fractions import Fraction
-    t = solve_tuning(q, k, Fraction(1, 10**15)).to_float()
-    return t, t * (q - 2) / (q - 1 - t)
+    return _with_gap_density(q, solve_tuning(q, k, Fraction(1, 10**15)).to_float())
 
 
 def check_q(q: int) -> None:
@@ -169,7 +173,7 @@ def _resolve(q: int, k: int, t_override: float | None) -> tuple[float, float]:
     t = float(t_override)
     if not 0 < t < 1:
         raise ValueError("t must lie in (0, 1)")
-    return t, t * (q - 2) / (q - 1 - t)
+    return _with_gap_density(q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +546,24 @@ def _walk_colors(seed: int, site: int, keys: np.ndarray, q: int,
     return shifts
 
 
+def _anchored_colors(seed: int, q: int, left: int, keys: np.ndarray,
+                     anchor: np.ndarray, pick_stream: int, first_stream: int,
+                     step_stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """(colors, anchors) of the sites left, left + 1, ... with site keys
+    `keys`: the sites `anchor` marks, at offsets `anchors`, take the
+    stationary walk (_walk_colors), and every other site its pick in
+    1..q-2 (_picks), which _fill then raises past the flank colors."""
+    colors = np.empty(len(anchor), dtype=np.uint8)
+    inner = (~anchor).nonzero()[0]
+    colors[inner] = _picks(u01_next(keys[inner], pick_stream), q)
+    del inner
+    anchors = anchor.nonzero()[0]
+    colors[anchors] = _walk_colors(seed, int(anchors[0]) + left,
+                                   keys[anchors[1:]], q, first_stream,
+                                   step_stream)
+    return colors, anchors
+
+
 # ---------------------------------------------------------------------------
 # Pipeline 1: painting
 
@@ -568,14 +590,8 @@ def painting_sample(q: int, k: int, length: int, seed: int,
     tv, s = _resolve(q, k, t)
     lo, left, _, hit, keys = _field(seed, S_PAINT_BERN, 1.0 - s, length)
     bern, keys = hit[left - lo:], keys[left - lo:]
-    colors = np.empty(len(bern), dtype=np.uint8)
-    inner = (~bern).nonzero()[0]
-    colors[inner] = _picks(u01_next(keys[inner], S_PAINT_COLOR), q)
-    del inner
-    anchors = bern.nonzero()[0]
-    colors[anchors] = _walk_colors(seed, int(anchors[0]) + left,
-                                   keys[anchors[1:]], q,
-                                   S_PAINT_FIRST, S_PAINT_STEP)
+    colors, anchors = _anchored_colors(seed, q, left, keys, bern, S_PAINT_COLOR,
+                                       S_PAINT_FIRST, S_PAINT_STEP)
     del keys
 
     def split(lo, hi):
@@ -605,9 +621,8 @@ def _zero_field_params(q: int, tv: float) -> float:
 
 def _code_window(q: int, k: int, length: int, seed: int, t: float | None,
                  zero_stream: int, tail_stream: int):
-    """Parameters, _field's lo, left and mask, the site keys and the code
-    field from left to the nearest zero past the window, and its zero
-    offsets."""
+    """Parameters, _field's lo, left and mask, and the site keys, code
+    field and zero mask from left to the nearest zero past the window."""
     if length < 1:
         raise ValueError("need length >= 1")
     tv, s = _resolve(q, k, t)
@@ -615,21 +630,17 @@ def _code_window(q: int, k: int, length: int, seed: int, t: float | None,
     lo, left, _, hit, keys = _field(seed, zero_stream, p_zero, length)
     zero, keys = hit[left - lo:], keys[left - lo:]
     entries = _code_field(keys, zero, tv, tail_stream)
-    return tv, s, lo, left, hit, keys, entries, zero.nonzero()[0]
+    return tv, s, lo, left, hit, keys, entries, zero
 
 
 def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
                            t: float | None = None):
     """As lehmer_pipeline_sample, also returning the window's code entries."""
-    tv, s, _, left, _, keys, entries, zeros = _code_window(
+    tv, s, _, left, _, keys, entries, zero = _code_window(
         q, k, length, seed, t, S_LEHMER_ZERO, S_LEHMER_TAIL)
-    colors = np.empty(len(entries), dtype=np.uint8)
-    inner = entries.nonzero()[0]
-    colors[inner] = _picks(u01_next(keys[inner], S_BUBBLE), q)
-    del inner
-    colors[zeros] = _walk_colors(seed, int(zeros[0]) + left,
-                                 keys[zeros[1:]], q, S_WALK_FIRST, S_WALK_STEP)
-    del keys
+    colors, zeros = _anchored_colors(seed, q, left, keys, zero, S_BUBBLE,
+                                     S_WALK_FIRST, S_WALK_STEP)
+    del keys, zero
     order, _, _ = _arrival(entries, zeros)
     _fill(colors, _splits(zeros[:-1], zeros[1:],
                           _earliest(order, len(entries))))
@@ -678,9 +689,10 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     ("hops"): the number of steps through the zero set back to the
     resolving site, whose tail is exactly (2/q)^n.
     """
-    tv, s, lo, left, hit, keys, entries, zeros = _code_window(
+    tv, s, lo, left, hit, keys, entries, zero = _code_window(
         q, k, length, seed, t, S_FFIID_ZERO, S_FFIID_TAIL)
-    del keys
+    zeros = zero.nonzero()[0]
+    del keys, zero
 
     # Walk left through the zero set from the window's left anchor to the
     # nearest zero site whose first candidate color escapes its

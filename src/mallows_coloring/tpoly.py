@@ -298,6 +298,14 @@ class AlgebraicT:
         return _bisect(self.q, self.k, self.poly, self.lo, self.hi, precision)
 
 
+def check_admissible(q: int, k: int) -> None:
+    """Raise NoSolutionError unless q*k > 2*(k+1), the condition under which
+    the tuning polynomial has a root in (0, 1)."""
+    if q * k <= 2 * (k + 1):
+        raise NoSolutionError(
+            f"no parameter in (0,1) for q={q}, k={k}: requires qk>2(k+1)")
+
+
 def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
     """Isolate the unique root of the tuning polynomial in (0, 1).
 
@@ -316,9 +324,7 @@ def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
 # (a tracer, say) leaves it reachable for clearing.
 @functools.lru_cache(maxsize=None)
 def _solve_tuning(q: int, k: int, precision) -> AlgebraicT:
-    if q * k <= 2 * (k + 1):
-        raise NoSolutionError(
-            f"no parameter in (0,1) for q={q}, k={k}: requires qk>2(k+1)")
+    check_admissible(q, k)
     p = tuning_poly(q, k)
     assert p.evaluate(0) < 0 < p.evaluate(1)
     return _bisect(q, k, p, Fraction(0), Fraction(1), precision)

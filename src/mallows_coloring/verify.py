@@ -40,41 +40,50 @@ class CylinderTable:
         return CylinderTable(self.length, counts, self.total + other.total)
 
 
+def independent_stride(span: int, k: int) -> int:
+    """Grid stride span + k + 1: under k-dependence, what a grid point reads
+    at offsets 0..span is independent of what every other point reads."""
+    return span + k + 1
+
+
+def _grid_counts(colors: np.ndarray, q: int, offsets, start: int, stop: int,
+                 stride: int) -> tuple[np.ndarray, int]:
+    """Counts of the color tuples read at i + offsets from colors in 1..q,
+    over the grid points i in range(start, stop, stride), as an array of
+    shape (q,) * len(offsets) indexed by the colors minus one; and the
+    number of points."""
+    points = np.arange(start, stop, stride)
+    base = np.asarray(colors, dtype=np.int64) - 1
+    shape = (q,) * len(offsets)
+    codes = np.ravel_multi_index([base[points + off] for off in offsets], shape)
+    return np.bincount(codes, minlength=q ** len(offsets)).reshape(shape), len(points)
+
+
 def count_windows(colors: np.ndarray, q: int, length: int, stride: int,
                   offset: int = 0) -> CylinderTable:
     """Strided window counts over a color array with values in 1..q."""
     n = len(colors)
     if length < 1 or n < length + offset:
         return CylinderTable(length, {}, 0)
-    starts = np.arange(offset, n - length + 1, stride)
-    codes = np.zeros(len(starts), dtype=np.int64)
-    base = np.asarray(colors, dtype=np.int64) - 1
-    for off in range(length):
-        codes = codes * q + base[starts + off]
-    binc = np.bincount(codes, minlength=q**length)
-    counts = {}
-    for code in np.flatnonzero(binc):
-        word = []
-        c = int(code)
-        for _ in range(length):
-            word.append(c % q + 1)
-            c //= q
-        counts[tuple(reversed(word))] = int(binc[code])
-    return CylinderTable(length, counts, int(len(starts)))
+    grid, total = _grid_counts(colors, q, range(length), offset,
+                               n - length + 1, stride)
+    seen = grid.nonzero()  # words in lexicographic order
+    words = map(tuple, (np.array(seen).T + 1).tolist())
+    return CylinderTable(length, dict(zip(words, grid[seen].tolist())), total)
 
 
 def estimate_cylinders(sample: ColoringSample, max_len: int,
                        stride: int | None = None) -> dict[int, CylinderTable]:
     """Window tables for every length up to max_len.
 
-    Default stride is max_len + k + 1, which makes windows of every counted
-    length pairwise independent under k-dependence.
+    The default stride, independent_stride(max_len, k), makes windows of
+    every counted length pairwise independent under k-dependence.
     """
     if max_len > 4:
         raise ValueError("cylinder estimation capped at length 4")
     q = sample.params.q
     if stride is None:
-        stride = max_len + sample.params.k + 1
+        stride = independent_stride(max_len, sample.params.k)
     return {m: count_windows(sample.colors, q, m, stride)
             for m in range(1, max_len + 1)}
 
@@ -154,20 +163,18 @@ def two_sample_chi_square(a: CylinderTable, b: CylinderTable,
 
 def pair_counts(sample: ColoringSample, gap: int,
                 stride: int | None = None) -> tuple[np.ndarray, int]:
-    """Joint counts of (color at i, color at i+gap) on a strided grid."""
+    """Joint counts of (color at i, color at i+gap) on a strided grid,
+    independent_stride(gap, k) by default; entry [a - 1, b - 1] counts the
+    pairs (a, b)."""
     if gap < 1:
         raise ValueError("gap must be at least 1")
     q = sample.params.q
     if stride is None:
-        stride = gap + sample.params.k + 1
-    colors = np.asarray(sample.colors, dtype=np.int64) - 1
-    n = len(colors)
+        stride = independent_stride(gap, sample.params.k)
+    n = len(sample.colors)
     if n < gap + 1:
         raise ValueError("window too short for the requested gap")
-    starts = np.arange(0, n - gap, stride)
-    codes = colors[starts] * q + colors[starts + gap]
-    binc = np.bincount(codes, minlength=q * q)
-    return binc.reshape(q, q), len(starts)
+    return _grid_counts(sample.colors, q, (0, gap), 0, n - gap, stride)
 
 
 def independence_defect(sample: ColoringSample, gap: int,

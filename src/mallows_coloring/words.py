@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -73,11 +74,22 @@ def color_pattern(chars: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_proper(chars: tuple[int, ...]) -> bool:
+    """True iff no two adjacent characters are equal."""
+    return all(a != b for a, b in zip(chars, chars[1:]))
+
+
+def word_tuples(q: int, n: int):
+    """All q^n words of length n over 1..q as tuples of characters, in
+    lexicographic order; word_columns lays them out in the same order."""
+    return itertools.product(range(1, q + 1), repeat=n)
+
+
 def word_columns(q: int, n: int, cap: int) -> np.ndarray:
     """All q^n words of length n over 1..q as the columns of an int8 array
-    of shape (n, q^n); column r is the r-th tuple of
-    itertools.product(range(1, q + 1), repeat=n).  More than `cap` words,
-    or q above 127, is refused before any array is built."""
+    of shape (n, q^n); column r is the r-th tuple of word_tuples(q, n).
+    More than `cap` words, or q above 127, is refused before any array is
+    built."""
     if q**n > cap:
         raise ValueError(f"{q}^{n} words above the batch cap {cap}")
     if q > 127:

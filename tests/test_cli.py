@@ -10,7 +10,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from mallows_coloring import building, certify, cli, tpoly
+from mallows_coloring import building, certify, cli, sampler, tpoly
 from mallows_coloring.cli import (_constant_ratio, _emit_json, build_parser,
                                   decimal_str, main)
 from mallows_coloring.words import Word
@@ -299,6 +299,41 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == (f"error: argument --out: cannot write {out}: "
                        "No such file or directory\n")
+
+    @pytest.mark.parametrize("q, k", [(3, 1), (3, 2), (4, 1)])
+    def test_inadmissible_pair_everywhere(self, capsys, q, k):
+        qk = ["--q", str(q), "--k", str(k)]
+        for argv in (["solve-tuning"], ["exact", "--word", "12"],
+                     ["sample", "--length", "10"], ["verify", "stat"],
+                     ["radius"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + qk)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "qk>2(k+1)" in err and "Traceback" not in err
+        for call in (lambda: tpoly.solve_tuning(q, k),
+                     lambda: building.z_closed_form_defect(q, k, 2),
+                     lambda: sampler.painting_sample(q, k, 10, 0)):
+            with pytest.raises(tpoly.NoSolutionError, match=r"qk>2\(k\+1\)"):
+                call()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--q", "5", "--k", "1", "--length", "10"],
+        ["radius", "--q", "5", "--k", "1"],
+        ["verify", "stat", "--q", "5", "--k", "1", "--method", "lehmer"],
+    ])
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, argv):
+        # stands in for numpy refusing an oversized request; no real
+        # allocation is attempted
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        for name in cli._PIPELINES:
+            monkeypatch.setitem(cli._PIPELINES, name, exhausted)
+        monkeypatch.setattr(sampler, "ffiid_detail", exhausted)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: not enough memory for this request: "
+            "Unable to allocate 7.28 TiB for an array\n")
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
         # more shards than CPUs: every shard runs, on at most cpu_count

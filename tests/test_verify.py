@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mallows_coloring.building import cylinder_masses
-from mallows_coloring.sampler import painting_sample
+from mallows_coloring.sampler import ColoringSample, SampleParams, painting_sample
 from mallows_coloring.tpoly import solve_tuning
 from mallows_coloring.verify import (CylinderTable, InsufficientDataError,
                                      _chi2_sf, chi_square_against_exact,
@@ -21,6 +22,16 @@ class TestCylinderTable:
         t = count_windows(colors, 2, 2, stride=3)
         assert t.total == 3
         assert t.counts == {(1, 2): 2, (1, 2)[::-1]: 1} or t.counts[(1, 2)] == 2
+
+    def test_offset_counts_match_a_plain_loop(self):
+        colors = np.random.default_rng(0).integers(1, 4, size=50, dtype=np.uint8)
+        for length, stride, offset in ((1, 2, 3), (2, 3, 1), (3, 5, 4), (4, 1, 7)):
+            starts = range(offset, len(colors) - length + 1, stride)
+            expect = Counter(tuple(colors[i:i + length].tolist()) for i in starts)
+            table = count_windows(colors, 3, length, stride, offset)
+            assert table.counts == expect
+            assert list(table.counts) == sorted(expect)
+            assert table.total == len(starts)
 
     def test_no_improper_windows_in_samples(self):
         s = painting_sample(5, 1, 20_000, seed=1)
@@ -150,6 +161,22 @@ class TestIndependenceDefect:
         s = painting_sample(5, 1, 200_000, seed=10)
         rep = independence_defect(s, gap=1, expect_dependent=False)
         assert not rep.passed
+
+    def test_pair_counts_match_a_plain_loop(self):
+        rng = np.random.default_rng(1)
+        colors = [1]
+        for step in rng.integers(1, 4, size=60).tolist():  # proper over 1..4
+            colors.append((colors[-1] - 1 + step) % 4 + 1)
+        sample = ColoringSample(0, np.array(colors), SampleParams(4, 2, 0.5, 0.5), 0)
+        # default stride gap + k + 1, and an explicit one
+        for gap, stride, used in ((1, None, 4), (3, None, 6), (2, 5, 5)):
+            starts = range(0, len(colors) - gap, used)
+            expect = np.zeros((4, 4), dtype=np.int64)
+            for i in starts:
+                expect[colors[i] - 1, colors[i + gap] - 1] += 1
+            joint, n = pair_counts(sample, gap, stride)
+            assert n == len(starts)
+            assert (joint == expect).all()
 
     def test_pair_counts_shape(self):
         s = painting_sample(4, 2, 10_000, seed=11)
