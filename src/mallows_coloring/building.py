@@ -298,7 +298,7 @@ def defect_vanishes(defect: RatPoly, tq: AlgebraicT) -> bool:
     (0, 1) and one in (1, infinity), both simple.
     """
     g = tq.poly.gcd(poly_remainder(defect, tq.poly))
-    return (g.evaluate(tq.lo) < 0) != (g.evaluate(tq.hi) < 0)
+    return g.sign_at(tq.lo) * g.sign_at(tq.hi) < 0
 
 
 def z_closed_form_defect(q: int, k: int, n: int) -> RatPoly:
@@ -331,4 +331,4 @@ def converse_scan(q: int, t: Fraction | AlgebraicT, k_max: int) -> list[int]:
         raise ValueError("scan needs 0 < t < 1")
     # The t^(k'-1) prefactor never vanishes on (0, 1).
     return [kk for kk in range(1, k_max + 1)
-            if tuning_poly(q, kk).evaluate(t) == 0]
+            if tuning_poly(q, kk).sign_at(t) == 0]

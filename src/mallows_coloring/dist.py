@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import math
 from fractions import Fraction
 
@@ -183,16 +184,27 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
         raise ValueError("needs u >= 1")
     n0 = math.log(u * (1 - t) / (1 - s)) / math.log(s / t)
     st, tt, ut = Fraction(s), Fraction(t), Fraction(u)
-    s_pows = weights(GeomSpec(GeomVariant.TRUNCATED, st, trunc=n_max))
-    t_pows = weights(GeomSpec(GeomVariant.TRUNCATED, tt, trunc=n_max))
+    # Integer weights scaled once for all n: s^j sd^n_max for the upper law
+    # and t^j td^n_max ud for the lower one, whose two ends take un in place
+    # of ud (the factor u).  A positive scale common to a law's weights
+    # leaves its cdf alone.
+    sn, sd, tn, td = st.numerator, st.denominator, tt.numerator, tt.denominator
+    un, ud = ut.numerator, ut.denominator
+    t_pows = [tn**j * td**(n_max - j) for j in range(n_max + 1)]
+    up_cum = list(itertools.accumulate(
+        sn**j * sd**(n_max - j) for j in range(n_max + 1)))
+    low_cum = list(itertools.accumulate(
+        [t_pows[0] * un] + [w * ud for w in t_pows[1:]]))
 
-    def lower(n: int) -> list[Fraction]:
-        at = GeomSpec(GeomVariant.END_WEIGHTED, tt, ut, trunc=n)._weighted_at()
-        return [ut * p if j in at else p for j, p in enumerate(t_pows[:n + 1])]
+    def dominates(n: int) -> bool:
+        """cdf(upper, r) <= cdf(lower, r) for every r < n (at r = n both
+        are 1), compared as prefix sums cross-multiplied by the totals."""
+        total_up = up_cum[n]
+        total_low = low_cum[n - 1] + t_pows[n] * un
+        return all(up_cum[r] * total_low <= low_cum[r] * total_up
+                   for r in range(n))
 
-    # the n-truncated weights are the first n + 1 powers
-    verdicts = {n: _dominates(s_pows[:n + 1], lower(n))
-                for n in range(1, n_max + 1)}
+    verdicts = {n: dominates(n) for n in range(1, n_max + 1)}
     checked = {n: verdicts[n] for n in range(max(1, math.ceil(n0)), n_max + 1)}
     holds_from = None
     for n in range(n_max, 0, -1):
@@ -200,26 +212,3 @@ def dominance_check(s: float, t: float, u: float, n_max: int) -> DominanceReport
             break
         holds_from = n
     return DominanceReport(n0=n0, checked=checked, holds_from=holds_from)
-
-
-def _dominates(upper: list[Fraction], lower: list[Fraction]) -> bool:
-    """cdf(upper, r) <= cdf(lower, r) for every r, for the laws with these
-    unnormalised weights, compared as running prefix sums cross-multiplied
-    by the two totals.  Scaling either weight list by a positive constant
-    leaves the verdict alone, so each is scaled by the lcm of its
-    denominators and the sums are integers."""
-    upper, lower = _integral(upper), _integral(lower)
-    total_up, total_low = sum(upper), sum(lower)
-    up = low = 0
-    for a, b in zip(upper, lower):
-        up += a
-        low += b
-        if up * total_low > low * total_up:
-            return False
-    return True
-
-
-def _integral(ws: list[Fraction]) -> list[int]:
-    """ws times the lcm of their denominators."""
-    scale = math.lcm(*(w.denominator for w in ws))
-    return [w.numerator * (scale // w.denominator) for w in ws]

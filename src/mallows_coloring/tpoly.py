@@ -14,8 +14,16 @@ and the tuning polynomial
 
 whose unique root in (0, 1) (which exists exactly when q*k > 2*(k+1)) is the
 parameter value that makes the q-coloring built downstream exactly
-k-dependent.  Roots are certified by sign-change bisection with exact
-rational endpoint evaluation; no floating point enters this module.
+k-dependent.  Roots are certified by sign-change bisection; no floating
+point enters this module.  Where only the sign of p(x) is read, at x = a/b
+with b > 0, it is taken from the integer
+
+    sum_i D c_i a^i b^(d-i),
+
+where d is the degree and D the common denominator of the coefficients:
+the value times the positive number D b^d.  The bisection keeps its
+bracket as integer numerators over one denominator, which doubles at each
+halving, and builds its rational endpoints once, at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -160,6 +169,24 @@ class RatPoly:
     def __call__(self, x: Fraction) -> Fraction:
         return self.evaluate(x)
 
+    def sign_at(self, x) -> int:
+        """Sign (-1, 0 or 1) of the value at a rational point, read from an
+        integer sum without building a Fraction."""
+        x = _as_fraction(x)
+        return self._sign_at(x.numerator, x.denominator)
+
+    def _sign_at(self, a: int, b: int) -> int:
+        """Sign of the value at a/b, for integers a and b > 0."""
+        cs = self.coeffs
+        if any(type(c) is not int for c in cs):
+            scale = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (scale // c.denominator) for c in cs]
+        acc, bpow = 0, 1
+        for c in reversed(cs):
+            acc = acc * a + c * bpow
+            bpow *= b
+        return (acc > 0) - (acc < 0)
+
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -281,9 +308,7 @@ class AlgebraicT:
             raise ValueError("isolating interval must lie strictly inside (0, 1)")
         if self.hi - self.lo > self.precision:
             raise ValueError("interval wider than the stated precision")
-        slo = self.poly.evaluate(self.lo)
-        shi = self.poly.evaluate(self.hi)
-        if not ((slo < 0 < shi) or (shi < 0 < slo)):
+        if self.poly.sign_at(self.lo) * self.poly.sign_at(self.hi) != -1:
             raise ValueError("polynomial must change sign across the interval")
 
     @property
@@ -315,8 +340,6 @@ def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
     memoised per (q, k, precision), since AlgebraicT is frozen;
     solve_tuning.cache_clear empties the memo.
     """
-    if isinstance(precision, str):
-        precision = Fraction(precision)
     return _solve_tuning(q, k, precision)
 
 
@@ -326,7 +349,7 @@ def solve_tuning(q: int, k: int, precision=Fraction(1, 10**30)) -> AlgebraicT:
 def _solve_tuning(q: int, k: int, precision) -> AlgebraicT:
     check_admissible(q, k)
     p = tuning_poly(q, k)
-    assert p.evaluate(0) < 0 < p.evaluate(1)
+    assert p.sign_at(0) < 0 < p.sign_at(1)
     return _bisect(q, k, p, Fraction(0), Fraction(1), precision)
 
 
@@ -336,20 +359,31 @@ solve_tuning.cache_clear = _solve_tuning.cache_clear
 def _bisect(q: int, k: int, p: RatPoly, lo: Fraction, hi: Fraction,
             precision) -> AlgebraicT:
     """Halve [lo, hi], across which p changes sign, until it is at most
-    `precision` wide and lies strictly inside (0, 1)."""
+    `precision` wide and lies strictly inside (0, 1).
+
+    After j halvings the bracket is [a/b, (a + w)/b] with b = den * 2^j and
+    w = (hi - lo) * den, so every step is integer work: the midpoint is
+    (2a + w)/(2b), and the width test cross-multiplies.  The endpoints are
+    the same rationals a Fraction bisection reaches.
+    """
+    if isinstance(precision, str):
+        precision = Fraction(precision)
     precision = _as_fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    slo = p.evaluate(lo)
-    while hi - lo > precision or lo == 0 or hi == 1:
-        mid = (lo + hi) / 2
-        smid = p.evaluate(mid)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    b = den
+    pn, pd = precision.numerator, precision.denominator
+    slo = p._sign_at(a, b)
+    while w * pd > pn * b or a == 0 or a + w == b:
+        a, b = 2 * a, 2 * b
+        smid = p._sign_at(a + w, b)
         if smid == 0:
             # Impossible: the only rational candidates are +-1 (integer
             # coefficients, unit leading and constant terms).
             raise ArithmeticError("tuning root unexpectedly rational")
-        if (smid < 0) == (slo < 0):
-            lo, slo = mid, smid
-        else:
-            hi = mid
-    return AlgebraicT(q, k, p, lo, hi, precision)
+        if smid == slo:
+            a += w
+    return AlgebraicT(q, k, p, Fraction(a, b), Fraction(a + w, b), precision)

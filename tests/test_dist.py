@@ -162,8 +162,11 @@ class TestDominance:
         assert report.holds_from == 1
 
     @pytest.mark.parametrize("s,t,u,n_max", [(0.5, 0.3, 4 / 3, 12),
+                                             (0.5, 0.3, 4 / 3, 30),
                                              (0.4, 0.39, 2.0, 14),
-                                             (0.9, 0.5, 30.0, 10)])
+                                             (0.9, 0.5, 30.0, 10),
+                                             # fails at n = 2, 3
+                                             (0.5, 0.45, 3.0, 30)])
     def test_verdicts_match_cdf_definition(self, s, t, u, n_max):
         def dominates(n):
             upper = GeomSpec(GeomVariant.TRUNCATED, F(s), trunc=n)

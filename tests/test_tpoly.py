@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from mallows_coloring import tpoly
+from mallows_coloring.building import defect_vanishes
 from mallows_coloring.tpoly import (ONE, AlgebraicT, NoSolutionError, RatPoly,
                                     T, ZERO, interval_enclosure,
                                     poly_remainder, solve_tuning, t_binomial,
@@ -175,6 +177,10 @@ class TestSolveTuning:
         tighter = root.refine(Fraction(1, 2**40))
         assert tighter.hi - tighter.lo <= Fraction(1, 2**40)
         assert root.lo <= tighter.lo < tighter.hi <= root.hi
+        # a string precision is read as solve_tuning reads it
+        coarse = solve_tuning(5, 1, "1e-10")
+        assert coarse.precision == Fraction(1, 10**10)
+        assert coarse.refine("1e-20") == coarse.refine(Fraction(1, 10**20))
 
     def test_refine_continues_solve_bisection(self):
         # one bisection loop: refining a coarse bracket lands on the bracket
@@ -205,6 +211,94 @@ class TestSolveTuning:
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
         assert tpoly._solve_tuning.cache_info().currsize == 0
+
+
+def reference_bisect(p, lo, hi, precision):
+    """The bracket a Fraction bisection with Horner evaluation reaches."""
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        return acc
+
+    slo = value(lo)
+    while hi - lo > precision or lo == 0 or hi == 1:
+        mid = (lo + hi) / 2
+        if (value(mid) < 0) == (slo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestIntegerBisection:
+    PAIRS = ((5, 1), (4, 2), (3, 3), (3, 4), (7, 2), (10, 5))
+    PRECISIONS = (Fraction(1, 2**10), Fraction(1, 10**15), Fraction(1, 10**30))
+
+    @pytest.mark.parametrize("q,k", PAIRS)
+    def test_solve_matches_fraction_bisection(self, q, k):
+        p = tuning_poly(q, k)
+        for precision in self.PRECISIONS:
+            root = solve_tuning(q, k, precision)
+            assert (root.lo, root.hi) == reference_bisect(
+                p, Fraction(0), Fraction(1), precision)
+
+    @pytest.mark.parametrize("q,k", PAIRS)
+    def test_refine_matches_fraction_bisection(self, q, k):
+        p = tuning_poly(q, k)
+        coarse = solve_tuning(q, k, Fraction(1, 2**10))
+        for precision in self.PRECISIONS[1:]:
+            root = coarse.refine(precision)
+            assert (root.lo, root.hi) == reference_bisect(
+                p, coarse.lo, coarse.hi, precision)
+        # a bracket whose endpoints are not dyadic
+        fine = solve_tuning(q, k)
+        lo = Fraction(math.floor(fine.lo * 999), 999)
+        hi = Fraction(math.ceil(fine.hi * 999), 999)
+        bracket = AlgebraicT(q, k, p, lo, hi, hi - lo)
+        root = bracket.refine(Fraction(1, 10**30))
+        assert (root.lo, root.hi) == reference_bisect(
+            p, lo, hi, Fraction(1, 10**30))
+
+    def test_sign_at_matches_evaluate(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            coeffs = [rng.choice((rng.randint(-9, 9),
+                                  Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 12))))
+                      for _ in range(rng.randint(0, 7))]
+            p = RatPoly(tuple(coeffs))
+            for x in (Fraction(rng.randint(-60, 60), rng.randint(1, 40)),
+                      rng.randint(-3, 3)):
+                value = p.evaluate(x)
+                assert p.sign_at(x) == (value > 0) - (value < 0)
+
+    def test_sign_at_exact_roots(self):
+        third, minus_five_halves = Fraction(1, 3), Fraction(-5, 2)
+        integral = poly(-1, 3) * poly(5, 2) * t_int(3)
+        rational = poly(Fraction(-1, 3), 1) * poly(Fraction(5, 7), Fraction(2, 7))
+        eps = Fraction(1, 10**40)
+        # simple roots of the factors, double roots of the product
+        for p, flips in ((integral, True), (rational, True),
+                         (integral * rational, False)):
+            for root in (third, minus_five_halves):
+                assert p.evaluate(root) == 0
+                assert p.sign_at(root) == 0
+                assert (p.sign_at(root - eps) == -p.sign_at(root + eps)) == flips
+        assert ZERO.sign_at(third) == 0
+
+    def test_root_and_vanishing_checks_never_evaluate(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("evaluate called for a sign")
+
+        monkeypatch.setattr(RatPoly, "evaluate", refuse)
+        solve_tuning.cache_clear()
+        root = solve_tuning(5, 1)
+        p = tuning_poly(5, 1)
+        assert defect_vanishes(t_int(3) * p, root)
+        assert not defect_vanishes(t_int(3), root)
+        assert defect_vanishes(tuning_poly(4, 2), root)
+        solve_tuning.cache_clear()
 
 
 class TestGcd:
