@@ -12,7 +12,7 @@ cross-validated against each other and against exact cylinder probabilities:
   * ffiid_sample: a finitary-factor construction; every site carries an iid
     triple (color pair, seed word, code entry) and the output at a site is
     computed by examining a finite, exponentially-tailed neighborhood.
-    Per-site coding radii are returned.
+    Per-site radii of that neighborhood are returned (see ffiid_sample).
 
 All pipelines are pure functions of (parameters, seed): every variate is
 derived from the seed and a site index through the documented splitting rule
@@ -84,6 +84,14 @@ S_FFIID_TAIL = 14
 #: Hard cap on window extension, in sites per side; extension overshoot is
 #: geometric so hitting this indicates a parameter or implementation fault.
 EXTENSION_CAP = 10**6
+
+#: Hard cap on the arrival work of one code window, the sum over its blocks
+#: of (interior sites)^2, which _arrival's per-cycle loop takes in element
+#: steps (some 7 ns each on a 2-core Xeon, so about seven seconds at the
+#: cap).  At the tuned parameters a window does about one step per site; a
+#: t override near 1 puts a short window inside one block of 10^5 sites or
+#: more, and hitting this indicates such degenerate parameters.
+ARRIVAL_WORK_CAP = 10**9
 
 #: Largest q the samplers accept: colors are stored as uint8.
 MAX_Q = 255
@@ -322,9 +330,13 @@ def _arrival(entries: np.ndarray, zeros: np.ndarray):
     blocks first so the active prefix shrinks; one sort then orders each
     block.  Returns (order, za, g): the interior sites block by block, each
     in arrival order, and the blocks' left zeros and interior sizes.
+    Raises before the loop when its work, the sum of g^2, passes
+    ARRIVAL_WORK_CAP.
     """
     g = zeros[1:] - zeros[:-1]
     g -= 1
+    if int(g @ g) > ARRIVAL_WORK_CAP:
+        raise RuntimeError("arrival work exceeded cap; parameters degenerate")
     by_size = np.argsort(-g)[:np.count_nonzero(g)]
     za, g = zeros[by_size], g[by_size]
     ends = np.cumsum(g)
@@ -667,14 +679,27 @@ def lehmer_pipeline_sample(q: int, k: int, length: int, seed: int,
 # Pipeline 3: finitary factor with coding radii
 
 
-def _color_pairs(x: np.ndarray, q: int):
-    """Ordered pairs (first, second) of distinct colors from x = u q (q-1)
-    for the sites' uniforms u, and whether each site's first escapes its
-    predecessor's pair (the first site counts as escaping)."""
-    r = x.astype(np.int64)
+@functools.lru_cache(maxsize=None)
+def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second), uint8 tables over r = 0..q(q-1)-1 of the ordered
+    pairs of distinct colors: first = r // (q-1) + 1, second the
+    (r % (q-1) + 1)-th of the other colors."""
+    r = np.arange(q * (q - 1))
     first = r // (q - 1) + 1
     second = r % (q - 1) + 1
     second += second >= first
+    tables = first.astype(np.uint8), second.astype(np.uint8)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _color_pairs(x: np.ndarray, q: int):
+    """Ordered pairs (first, second) of distinct colors from x = u q (q-1)
+    for the zero sites' uniforms u, and whether each site's first escapes
+    its predecessor's pair (the first site counts as escaping)."""
+    r = x.astype(np.intp)
+    first, second = (table[r] for table in _pair_tables(q))
     escape = np.ones(len(r), dtype=bool)
     escape[1:] = (first[1:] != first[:-1]) & (first[1:] != second[:-1])
     return first, second, escape
@@ -688,11 +713,27 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     zero sites ("zeros"), and the per-zero-site lookback hop counts
     ("hops"): the number of steps through the zero set back to the
     resolving site, whose tail is exactly (2/q)^n.
+
+    Past the code field, every step works on the zero sites or on the
+    blocks between them; only the colors and the radii are per site.
     """
     tv, s, lo, left, hit, keys, entries, zero = _code_window(
         q, k, length, seed, t, S_FFIID_ZERO, S_FFIID_TAIL)
     zeros = zero.nonzero()[0]
+    window = slice(-left, -left + length)
+    is_zero = zero[window]
     del keys, zero
+
+    # The bubble picks come first, so that _arrival's temporaries never sit
+    # on top of the lookback's arrays.  Uniforms are indexed by the block's
+    # arrival order, not by the order in which _splits visits it: the rank
+    # is a draw key.
+    colors = np.empty(len(entries), dtype=np.uint8)
+    order, za, g = _arrival(entries, zeros)
+    words = mix_keys(seed, za + left, S_FFIID_U)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(g) - g, g) + 2
+    colors[order] = _picks(u01_from_words(np.repeat(words, g), rank), q)
+    del words, rank, za, g
 
     # Walk left through the zero set from the window's left anchor to the
     # nearest zero site whose first candidate color escapes its
@@ -701,7 +742,8 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     # from _field's left end, as _field grows a side.
     # The walk tests pairs from (u q)(q - 1), as the scalar walk did; the
     # forward pass takes them from u (q (q - 1)), as it always has.
-    zs = lo + hit.nonzero()[0]
+    zs = hit.nonzero()[0]
+    zs += lo
     u = u01_array(seed, zs, S_FFIID_Z)
     while True:
         head = u[:len(zs) - len(zeros) + 1]
@@ -716,56 +758,59 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
         lo -= n
     cut = resolving[-1] + 1
     zs = zs[cut:]
-    z1, z2, escape = _color_pairs(u[cut:] * (q * (q - 1)), q)
-    idx = np.arange(len(zs))
-    esc_idx = np.maximum.accumulate(np.where(escape, idx, 0))
-    hops = idx - esc_idx
-    # Forward pass, all sites at once: each site takes its first candidate
+    u = u[cut:]
+    u *= q * (q - 1)
+    z1, z2, escape = _color_pairs(u, q)
+    del u
+    # esc_idx[j]: the last escape at or before zero j (zero 0 escapes).
+    esc = escape.nonzero()[0]
+    esc_idx = np.repeat(esc, np.diff(esc, append=len(zs)))
+    del esc
+    # Forward pass, all zero sites at once: each takes its first candidate
     # unless that is its predecessor's color.  An escape takes its first;
     # after it, the choice flips at each site whose first candidate is its
     # predecessor's first.
-    flips = np.zeros(len(zs), dtype=np.int64)
-    flips[1:] = z1[1:] == z1[:-1]
-    np.cumsum(flips, out=flips)
-    zcolors = np.where((flips - flips[esc_idx]) & 1, z2, z1)
-    reset_site = zs[esc_idx]
-
-    colors = np.empty(len(entries), dtype=np.uint8)
-    order, za, g = _arrival(entries, zeros)
-    # Uniforms are indexed by the block's arrival order, not by the order
-    # in which _splits visits it: the rank is a draw key.
-    words = mix_keys(seed, za + left, S_FFIID_U)
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(g) - g, g) + 2
-    colors[order] = _picks(u01_from_words(np.repeat(words, g), rank), q)
-    del words, rank
-    in_win = zs >= left
-    colors[zs[in_win] - left] = zcolors[in_win]
+    flip = escape  # its buffer, no longer needed
+    flip[0] = False
+    np.equal(z1[1:], z1[:-1], out=flip[1:])
+    np.logical_xor.accumulate(flip, out=flip)
+    flip ^= flip[esc_idx]
+    # zs[j0:] are the zero sites left, ..., right; zs[i0:i1] those inside
+    # the window
+    j0 = len(zs) - len(zeros)
+    i0, i1 = j0 + (left < 0), len(zs) - (int(zs[-1]) >= length)
+    colors[zeros] = np.where(flip[j0:], z2[j0:], z1[j0:])
+    del z1, z2, flip, escape
     _fill(colors, _splits(zeros[:-1], zeros[1:],
                           _earliest(order, len(entries))))
+    del order
 
-    # Coding radii on the window: distance to the farthest site examined.
-    window = slice(-left, -left + length)
-    window_sites = np.arange(0, length, dtype=np.int64)
-    zero = entries[:-left + length] == 0
-    is_zero = zero[window]
-    # index in zs of the last zero site at or before each window site; int32
-    # holds it, as the field has fewer than 2^31 sites (as _arrival's int32
-    # site arrays already require)
-    pos = np.cumsum(zero, dtype=np.int32)[window]
-    pos += len(zs) - len(zeros) - 1
-    f_plus = zs[np.minimum(pos + 1, len(zs) - 1)]
-    left_reach = window_sites - reset_site[pos]
-    radii = np.where(is_zero, left_reach,
-                     np.maximum(left_reach, f_plus - window_sites))
+    # Radii, block by block: the block of zero a runs up to the next zero
+    # b, and a's reset site is R.  At a the radius is a - R; at each site i
+    # inside it, max(i - R, b - i), b - i being (b - R) - (i - R).  They
+    # are laid out over the sites left..right and cut to the window.
+    zw = zs[j0:]
+    reset = zs[esc_idx[j0:]]
+    hops = np.arange(i0, i1) - esc_idx[i0:i1]
+    del esc_idx
+    gaps = zw[1:] - zw[:-1]
+    radii = np.arange(left, int(zw[-1]) + 1, dtype=np.int64)
+    inner = radii[:-1]
+    inner -= np.repeat(reset[:-1], gaps)
+    reach = np.subtract(zw, reset, out=reset)
+    far = np.repeat(gaps + reach[:-1], gaps)
+    far -= inner
+    np.maximum(inner, far, out=inner)
+    del far
+    radii[zeros] = reach
+    radii = radii[window]
 
     sample = ColoringSample(0, colors[window], SampleParams(q, k, tv, s),
-                            seed, radii=radii,
-                            endpoint_mask=is_zero)
-    zmask = (zs >= 0) & (zs <= length - 1)
+                            seed, radii=radii, endpoint_mask=is_zero)
     extras = {
         "entries": entries[window],
-        "zeros": zs[zmask],
-        "hops": hops[zmask],
+        "zeros": zs[i0:i1],
+        "hops": hops,
     }
     return sample, extras
 
@@ -777,8 +822,12 @@ def ffiid_sample(q: int, k: int, length: int, seed: int,
     Zero sites of the code field are colored by scanning back through the
     zero set to the most recent site whose first candidate color escapes its
     predecessor's pair, then rolling forward; gaps are filled from the gap's
-    left-endpoint seed word.  The returned radii bound, per site, the
-    distance to every site examined, and have exponential tails.
+    left-endpoint seed word.  The returned radius of a site reaches back to
+    the reset site of the last zero at or before it (where that zero's
+    walk stopped) and, off the zeros, forward to the next zero; the radii
+    have exponential tails.  They are not yet coding radii: the escape test
+    that stops a walk also reads the pair of the zero before the reset
+    site, left of the reach (ROADMAP item 11).
     """
     return ffiid_detail(q, k, length, seed, t)[0]
 
