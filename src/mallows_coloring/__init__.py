@@ -11,8 +11,7 @@ from .perm import (ConstraintGraph, LehmerSeq, Perm, bubbles, color_count,
                    lehmer_code)
 from .sampler import (ColoringSample, MarkovState, SampleParams, ffiid_sample,
                       gamma_from_lehmer, lehmer_pipeline_sample, markov_states,
-                      painting_sample, sample_bubble_mallows, sample_mallows,
-                      uniform_coloring)
+                      painting_sample)
 from .tpoly import (AlgebraicT, NoSolutionError, RatPoly, poly_remainder,
                     solve_tuning, t_binomial, t_factorial, t_int, tuning_poly)
 from .verify import (CylinderTable, InsufficientDataError, TestReport,

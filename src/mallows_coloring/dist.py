@@ -130,22 +130,18 @@ def _prefix_table(spec: GeomSpec) -> np.ndarray:
     return table
 
 
-def sample(spec: GeomSpec, rng: np.random.Generator, size: int | None = None):
-    """Inverse-CDF draw(s); deterministic given the generator state.
-
-    Returns an int when size is None, otherwise an int64 array.
-    """
-    scalar = size is None
-    n = 1 if scalar else size
+def sample(spec: GeomSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` inverse-CDF draws as an int64 array; deterministic given the
+    generator state."""
     if spec.variant in _FINITE:
         table = _prefix_table(spec)
-        out = np.searchsorted(table, rng.random(n), side="right")
+        out = np.searchsorted(table, rng.random(size), side="right")
     else:
         t = float(spec.t)
         u = float(spec.u)
         p0 = u / (u + t / (1 - t)) if t else 1.0
-        us = rng.random(n)
-        out = np.zeros(n, dtype=np.int64)
+        us = rng.random(size)
+        out = np.zeros(size, dtype=np.int64)
         tail = us >= p0
         if t and tail.any():
             # Conditional on being positive the law is 1 + geometric(t),
@@ -153,7 +149,7 @@ def sample(spec: GeomSpec, rng: np.random.Generator, size: int | None = None):
             rescaled = (us[tail] - p0) / (1 - p0)
             out[tail] = 1 + np.floor(
                 np.log1p(-rescaled) / math.log(t)).astype(np.int64)
-    return int(out[0]) if scalar else out
+    return out
 
 
 @dataclasses.dataclass(frozen=True)

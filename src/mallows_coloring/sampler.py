@@ -1,4 +1,4 @@
-"""Samplers for the stationary k-dependent q-coloring and its ingredients.
+"""Samplers for the stationary k-dependent q-coloring.
 
 Three independent pipelines produce windows of the same process and are
 cross-validated against each other and against exact cylinder probabilities:
@@ -58,8 +58,8 @@ import numpy as np
 from . import dist
 # decrement_cycle_values, mix and u01_from_word are the scalar forms of what
 # _arrival and the ffiid draws compute; they stay importable from here.
-from .perm import (ConstraintGraph, LehmerSeq, Perm, decode_insertion,  # noqa: F401
-                   decode_lehmer, decrement_cycle_values)
+from .perm import (ConstraintGraph, LehmerSeq, decode_insertion,  # noqa: F401
+                   decrement_cycle_values)
 from .streams import (mix, mix_keys, u01, u01_array, u01_from_word,  # noqa: F401
                       u01_from_words, u01_keys, u01_next)
 from .tpoly import solve_tuning
@@ -185,37 +185,7 @@ def _resolve(q: int, k: int, t_override: float | None) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Permutation samplers
-
-
-def sample_mallows(n: int, t: float, rng: np.random.Generator) -> Perm:
-    """Mallows permutation of [1, n]: mass proportional to t^inversions.
-
-    Drawn as the decode of independent truncated geometric code entries,
-    entry i truncated at n - i.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    entries = [dist.sample(dist.GeomSpec(dist.GeomVariant.TRUNCATED, t,
-                                         trunc=n - 1 - off), rng)
-               for off in range(n)]
-    return decode_lehmer(LehmerSeq(1, tuple(entries), "lehmer"))
-
-
-def sample_bubble_mallows(start: int, end: int, t: float, u: float,
-                          rng: np.random.Generator) -> Perm:
-    """Bubble-biased Mallows permutation of [start, end]: mass proportional
-    to u^bubbles * t^inversions.
-
-    Drawn as the insertion decode of independent end-weighted truncated
-    geometric entries, the entry at position p truncated at p - start.
-    """
-    if end < start:
-        raise ValueError("empty interval")
-    entries = [dist.sample(dist.GeomSpec(dist.GeomVariant.END_WEIGHTED, t, u,
-                                         trunc=off), rng)
-               for off in range(end - start + 1)]
-    return decode_insertion(LehmerSeq(start, tuple(entries), "insertion"))
+# The code entry at the origin
 
 
 def lehmer_marginal_at_origin(n: int, t: float, u: float,
@@ -385,28 +355,6 @@ def _earliest(order: np.ndarray, n: int):
     return first
 
 
-def _joined(arcs, base: int = 0):
-    """first(lo, hi) read off a constraint graph's arcs, shifted by -base:
-    the one site strictly between lo and hi joined by arcs to both.  Raises
-    ValueError when there is no such site, as for arcs that do not form
-    bubbles."""
-    nbrs = collections.defaultdict(set)
-    for i, j in arcs:
-        nbrs[i - base].add(j - base)
-        nbrs[j - base].add(i - base)
-
-    def one(lo, hi):
-        both = [v for v in nbrs[lo] & nbrs[hi] if lo < v < hi]
-        if len(both) != 1:
-            raise ValueError("arc set is not a single bubble of a constraint graph")
-        return both[0]
-
-    def first(lo, hi):
-        return np.array([one(a, b) for a, b in zip(lo.tolist(), hi.tolist())],
-                        dtype=np.int64)
-    return first
-
-
 # ---------------------------------------------------------------------------
 # Constraint graphs from code fields
 
@@ -445,28 +393,6 @@ def gamma_from_lehmer(entries, start: int) -> ConstraintGraph:
     lo, hi = _bubble_arcs(entries)
     arcs.update(zip((lo + start).tolist(), (hi + start).tolist()))
     return ConstraintGraph(start, n, frozenset(arcs))
-
-
-def uniform_coloring(graph: ConstraintGraph, q: int,
-                     rng: np.random.Generator) -> Word:
-    """Uniform proper q-coloring of a good window graph.
-
-    Bubble-endpoint colors follow a stationary walk on the complete graph
-    (first endpoint uniform, each next uniform over the other q - 1 colors);
-    each bubble is then filled conditionally uniformly given its endpoint
-    colors, along an arrival order read off its arcs, from one uniform per
-    site drawn after the walk.
-    """
-    check_q(q)
-    eps = np.asarray(graph.bubble_endpoints(), dtype=np.int64) - graph.start
-    walk = [int(rng.random() * q) + 1]
-    for _ in eps[1:]:
-        step = int(rng.random() * (q - 1)) + 1
-        walk.append((walk[-1] - 1 + step) % q + 1)
-    colors = _picks(rng.random(graph.n), q)
-    colors[eps] = walk
-    _fill(colors, _splits(eps[:-1], eps[1:], _joined(graph.arcs, graph.start)))
-    return Word(graph.start, tuple(colors.tolist()), q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ part of the stable interface:
 
 with FINALIZE the splitmix64 output mix.  Key words are taken mod 2^64
 (two's complement for negative site indices).  Uniforms use the top 53 bits
-shifted into (0, 1), never returning 0.0 exactly.
+shifted into (0, 1): (b + 0.5) 2^-53 for the top bits b, except that
+b = 2^53 - 1, where that sum rounds up to 1.0, gives the largest double
+below 1.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 _S11, _S27, _S30, _S31 = (np.uint64(n) for n in (11, 27, 30, 31))
 _UM1, _UM2, _UGAMMA = np.uint64(_M1), np.uint64(_M2), np.uint64(GAMMA)
 
@@ -43,12 +46,13 @@ def mix(seed: int, *words: int) -> int:
 
 def u01(seed: int, *words: int) -> float:
     """Uniform in (0, 1), a pure function of the key."""
-    return ((mix(seed, *words) >> 11) + 0.5) * _INV53
+    return min(((mix(seed, *words) >> 11) + 0.5) * _INV53, _BELOW_ONE)
 
 
 def u01_from_word(word: int, j: int) -> float:
     """j-th uniform of the substream anchored at a previously mixed word."""
-    return ((_finalize((word + j * GAMMA) & MASK64) >> 11) + 0.5) * _INV53
+    return min(((_finalize((word + j * GAMMA) & MASK64) >> 11) + 0.5) * _INV53,
+               _BELOW_ONE)
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
@@ -75,6 +79,7 @@ def _u01_bits(bits: np.ndarray) -> np.ndarray:
     out = bits.astype(np.float64)
     out += 0.5
     out *= _INV53
+    np.minimum(out, _BELOW_ONE, out=out)
     return out
 
 

@@ -167,7 +167,7 @@ def test_criterion_10_exponential_tails(pipeline_runs):
 def test_criterion_11_distribution_lemmas():
     # conditional code entries on [0, 5], exact enumeration
     t, u = Fraction(2, 5), Fraction(4, 3)
-    for i in (2, 4):
+    for i in (2, 3, 4):
         cond: dict[tuple, Fraction] = {}
         total = Fraction(0)
         for sigma in all_perms(0, 6):

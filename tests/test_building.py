@@ -144,18 +144,6 @@ class TestConsistency:
 
 
 class TestCylinderProb:
-    def test_proper_pair_is_uniform(self):
-        root = solve_tuning(5, 1)
-        assert cylinder_prob(w("12"), root).equals_fraction(Fraction(1, 20))
-
-    def test_aba_value(self):
-        root = solve_tuning(5, 1)
-        assert cylinder_prob(w("121"), root).equals_fraction(Fraction(1, 100))
-
-    def test_abc_value(self):
-        root = solve_tuning(5, 1)
-        assert cylinder_prob(w("123"), root).equals_fraction(Fraction(1, 75))
-
     def test_wrong_value_rejected(self):
         root = solve_tuning(5, 1)
         assert not cylinder_prob(w("121"), root).equals_fraction(Fraction(1, 99))

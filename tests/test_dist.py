@@ -102,12 +102,12 @@ class TestSample:
     def test_trunc_zero_always_zero(self):
         rng = np.random.default_rng(0)
         spec = GeomSpec(GeomVariant.END_WEIGHTED, 0.5, 2.0, trunc=0)
-        assert all(sample(spec, rng) == 0 for _ in range(20))
+        assert (sample(spec, rng, size=20) == 0).all()
 
     def test_infinite_with_t_zero(self):
         rng = np.random.default_rng(0)
         spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, 0.0, 4 / 3)
-        assert all(sample(spec, rng) == 0 for _ in range(20))
+        assert (sample(spec, rng, size=20) == 0).all()
 
     def test_deterministic_given_state(self):
         spec = GeomSpec(GeomVariant.TRUNCATED, 0.4, trunc=5)
@@ -148,8 +148,8 @@ class TestSample:
                 return np.full(n, 1 - 2.0**-53)
 
         spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, t, u)
-        draw = sample(spec, Top())
-        assert 1 <= draw <= 1 + 53 / -math.log2(t)
+        draw = sample(spec, Top(), size=1)
+        assert 1 <= draw[0] <= 1 + 53 / -math.log2(t)
 
 
 class TestDominance:

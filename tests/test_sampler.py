@@ -11,18 +11,16 @@ import pytest
 from scipy import stats
 
 from mallows_coloring import dist
-from mallows_coloring.perm import (Perm, all_perms, bubbles, color_count_brute,
-                                   constraint_graph, decode_lehmer, founders,
-                                   lehmer_code)
+from mallows_coloring.perm import (LehmerSeq, all_perms, bubbles,
+                                   color_counts_brute, constraint_graph,
+                                   decode_insertion, decode_lehmer, founders)
 from mallows_coloring.sampler import (ColoringSample, SampleParams,
                                       ffiid_detail, ffiid_sample,
                                       gamma_from_lehmer,
                                       lehmer_marginal_at_origin,
                                       lehmer_pipeline_detail,
                                       lehmer_pipeline_sample, markov_states,
-                                      painting_sample, sample_bubble_mallows,
-                                      sample_mallows, tuned_parameters,
-                                      uniform_coloring)
+                                      painting_sample, tuned_parameters)
 from mallows_coloring.tpoly import NoSolutionError
 from mallows_coloring.words import Word
 
@@ -32,83 +30,45 @@ def chi_square_counts(counts, probs, n):
     return float(stats.chi2.sf(stat, len(probs) - 1))
 
 
-class TestMallowsSampler:
-    def test_t_zero_gives_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert sample_mallows(6, 0.0, rng) == Perm.identity(1, 6)
-
-    def test_law_matches_inversion_weights(self):
-        t = 0.4
-        n, draws = 4, 100_000
-        rng = np.random.default_rng(1)
-        counts = Counter(sample_mallows(n, t, rng).image for _ in range(draws))
-        weights = {s.image: t ** s.inv_count() for s in all_perms(1, n)}
-        z = sum(weights.values())
-        probs = {k: v / z for k, v in weights.items()}
-        assert chi_square_counts(counts, probs, draws) > 1e-3
-
-    def test_mean_inversions(self):
-        # inv is a sum of independent truncated geometric code entries
-        t, n, draws = 0.4, 5, 100_000
-        rng = np.random.default_rng(2)
-        total = sum(sample_mallows(n, t, rng).inv_count() for _ in range(draws))
-        mean = sum(
-            float(sum(j * dist.pmf(dist.GeomSpec(dist.GeomVariant.TRUNCATED,
-                                                 Fraction(2, 5), trunc=n - i), j)
-                      for j in range(n - i + 1)))
-            for i in range(1, n + 1))
-        var = n * 2.0  # crude bound on the variance of inv per draw
-        assert abs(total / draws - mean) < 4 * math.sqrt(var / draws)
+def _pushforward(specs, decode):
+    """Exact law of decode(code) over codes with independent entries, entry
+    i drawn from specs[i]: the mass of each image, as Fractions."""
+    pmfs = [[dist.pmf(spec, e) for e in range(spec.trunc + 1)]
+            for spec in specs]
+    mass = defaultdict(Fraction)
+    for code in itertools.product(*(range(len(p)) for p in pmfs)):
+        mass[decode(code).image] += math.prod(p[e] for p, e in zip(pmfs, code))
+    return dict(mass)
 
 
-class TestBubbleMallows:
-    def test_unit_weight_reduces_to_mallows(self):
-        t, draws = 0.4, 100_000
-        rng = np.random.default_rng(3)
-        counts = Counter(sample_bubble_mallows(1, 4, t, 1.0, rng).image
-                         for _ in range(draws))
-        weights = {s.image: t ** s.inv_count() for s in all_perms(1, 4)}
-        z = sum(weights.values())
-        probs = {k: v / z for k, v in weights.items()}
-        assert chi_square_counts(counts, probs, draws) > 1e-3
+class TestCodeLemmas:
+    def test_mallows_code_lemma_exact(self):
+        # independent truncated geometric entries, entry off truncated at
+        # n - 1 - off, decode to mass t^inv / Z
+        t = Fraction(2, 5)
+        for n in range(1, 7):
+            specs = [dist.GeomSpec(dist.GeomVariant.TRUNCATED, t,
+                                   trunc=n - 1 - off) for off in range(n)]
+            mass = _pushforward(specs, lambda code: decode_lehmer(
+                LehmerSeq(1, code, "lehmer")))
+            weights = {s.image: t ** s.inv_count() for s in all_perms(1, n)}
+            z = sum(weights.values())
+            assert mass == {image: w / z for image, w in weights.items()}
 
-    def test_bubble_biased_law(self):
-        t, u, draws = 0.4, 4 / 3, 100_000
-        rng = np.random.default_rng(4)
-        counts = Counter(sample_bubble_mallows(0, 3, t, u, rng).image
-                         for _ in range(draws))
-        weights = {}
-        for s in all_perms(0, 4):
-            b = len(bubbles(constraint_graph(s)))
-            weights[s.image] = u**b * t ** s.inv_count()
-        z = sum(weights.values())
-        probs = {k: v / z for k, v in weights.items()}
-        assert chi_square_counts(counts, probs, draws) > 1e-3
-
-    def test_conditional_code_entries_exact(self):
-        # conditional on the minimum arriving before position i, the code
-        # entries at i.. are independent zero-weighted truncated geometrics
-        t, u = Fraction(2, 5), Fraction(4, 3)
-        m, n = 0, 5
-        for i in (2, 3, 4):
-            cond: dict[tuple, Fraction] = {}
-            total = Fraction(0)
-            for sigma in all_perms(m, n - m + 1):
-                if sigma.inverse(0) >= i:
-                    continue
-                b = len(founders(sigma)) - 1
-                w = u**b * t ** sigma.inv_count()
-                key = tuple(lehmer_code(sigma).entries[i - m:])
-                cond[key] = cond.get(key, Fraction(0)) + w
-                total += w
-            for key, w in cond.items():
-                expect = Fraction(1)
-                for off, e in enumerate(key):
-                    spec = dist.GeomSpec(dist.GeomVariant.ZERO_WEIGHTED, t, u,
-                                         trunc=n - (i + off))
-                    expect *= dist.pmf(spec, e)
-                assert w / total == expect
+    def test_bubble_biased_code_lemma_exact(self):
+        # independent end-weighted entries, entry off truncated at off,
+        # insertion-decode to mass u^bubbles t^inv / Z; u = 1 is Mallows
+        t = Fraction(2, 5)
+        for u, n in itertools.product((Fraction(1), Fraction(4, 3)),
+                                      range(1, 7)):
+            specs = [dist.GeomSpec(dist.GeomVariant.END_WEIGHTED, t, u,
+                                   trunc=off) for off in range(n)]
+            mass = _pushforward(specs, lambda code: decode_insertion(
+                LehmerSeq(0, code, "insertion")))
+            weights = {s.image: u ** len(bubbles(constraint_graph(s)))
+                       * t ** s.inv_count() for s in all_perms(0, n)}
+            z = sum(weights.values())
+            assert mass == {image: w / z for image, w in weights.items()}
 
 
 class TestGammaFromLehmer:
@@ -117,7 +77,6 @@ class TestGammaFromLehmer:
         assert g.arcs == frozenset({(5, 6), (6, 7), (7, 8)})
 
     def test_single_block_matches_decoded_graph(self):
-        from mallows_coloring.perm import LehmerSeq
         entries = [0, 2, 1, 1, 0]
         g = gamma_from_lehmer(entries, 0)
         sigma = decode_lehmer(LehmerSeq(0, tuple(entries), "lehmer"))
@@ -147,31 +106,49 @@ class TestGammaFromLehmer:
             gamma_from_lehmer([0], 0)
 
 
-class TestArrivalPeeling:
-    def test_peel_completes_on_every_single_bubble(self):
-        # on every single-bubble constraint graph the level-by-level walk
-        # driven by the arcs visits each interior site exactly once, and
-        # its gaps and splits reproduce the graph's arcs
-        from mallows_coloring.sampler import _joined, _splits
-        for sigma in all_perms(1, 7):
-            graph = constraint_graph(sigma)
-            if len(founders(sigma)) != 2:
-                continue
-            levels = list(_splits(np.array([1]), np.array([7]),
-                                  _joined(graph.arcs)))
-            splits = [(v, lo, hi) for level in levels
-                      for v, lo, hi in zip(*(a.tolist() for a in level))]
-            assert sorted(v for v, _, _ in splits) == list(range(2, 7))
-            arcs = {(1, 7)}
-            for v, lo, hi in splits:
-                arcs.update({(lo, v), (v, hi)})
-            assert arcs == graph.arcs
-
-    def test_peel_rejects_non_bubbles(self):
-        from mallows_coloring.sampler import _joined, _splits
-        arcs = {(1, 2), (2, 3), (3, 4)}  # path: no site joined to 1 and 4
-        with pytest.raises(ValueError):
-            list(_splits(np.array([1]), np.array([4]), _joined(arcs)))
+class TestBubbleFill:
+    def test_fill_is_a_bijection_onto_proper_colorings(self):
+        # every block code [0, e_1..e_m, 0], e_i in 1..m+1-i, m <= 5: its
+        # graph is the decoded permutation's, and these are all single-bubble
+        # graphs on 2..7 sites.  Per q, each of the (q-2)^m pick vectors
+        # colors one copy of the block through the pipelines' kernel, flanks
+        # (1, 2); the rows must be the distinct proper colorings with those
+        # flanks, (q-2)^m of the q(q-1)(q-2)^m by color symmetry.
+        from mallows_coloring.sampler import (_arrival, _earliest, _fill,
+                                              _splits)
+        codes = [(0,) + inner + (0,) for m in range(6)
+                 for inner in itertools.product(*(range(1, m + 2 - i)
+                                                  for i in range(1, m + 1)))]
+        assert len(codes) == 154
+        graph_of = {code: gamma_from_lehmer(code, 0) for code in codes}
+        for code, graph in graph_of.items():
+            assert graph == constraint_graph(
+                decode_lehmer(LehmerSeq(0, code, "lehmer")))
+        for n in range(2, 8):
+            bubble_graphs = {constraint_graph(s) for s in all_perms(0, n)
+                             if len(founders(s)) == 2}
+            assert bubble_graphs == {g for g in graph_of.values() if g.n == n}
+        assert len(set(graph_of.values())) == 65
+        cases = []
+        for q, (code, graph) in itertools.product((3, 4, 5), graph_of.items()):
+            m = graph.n - 2
+            picks = list(itertools.product(range(1, q - 1), repeat=m))
+            colors = np.empty((len(picks), m + 2), dtype=np.uint8)
+            colors[:, 0], colors[:, -1] = 1, 2
+            colors[:, 1:-1] = picks
+            colors = colors.ravel()
+            entries = np.tile(np.array(code, dtype=np.int64), len(picks))
+            zeros = (entries == 0).nonzero()[0]
+            order, _, _ = _arrival(entries, zeros)
+            _fill(colors, _splits(zeros[:-1], zeros[1:],
+                                  _earliest(order, len(entries))))
+            rows = colors.reshape(len(picks), m + 2)
+            for i, j in graph.arcs:
+                assert (rows[:, i] != rows[:, j]).all(), (code, q)
+            assert len(np.unique(rows, axis=0)) == len(rows), (code, q)
+            cases.append((graph, q))
+        assert color_counts_brute(cases) == [
+            q * (q - 1) * (q - 2) ** (g.n - 2) for g, q in cases]
 
 
 class TestArrayKernel:
@@ -396,62 +373,6 @@ class TestArrayKernel:
             for site, n in zip(extras["zeros"][:2].tolist(),
                                extras["hops"][:2].tolist()):
                 assert n == hops(seed, site)
-
-
-class TestUniformColoring:
-    def test_rejects_q_above_uint8_colors(self):
-        g = gamma_from_lehmer([0, 2, 1, 0], 0)
-        with pytest.raises(ValueError, match="uint8"):
-            uniform_coloring(g, 300, np.random.default_rng(0))
-        assert max(uniform_coloring(g, 255, np.random.default_rng(0)).chars) <= 255
-
-    def test_path_graph_walk_law(self):
-        g = gamma_from_lehmer([0, 0, 0], 0)
-        rng = np.random.default_rng(5)
-        draws = 60_000
-        counts = Counter(uniform_coloring(g, 3, rng).chars for _ in range(draws))
-        probs = {}
-        for chars in itertools.product((1, 2, 3), repeat=3):
-            if chars[0] != chars[1] and chars[1] != chars[2]:
-                probs[chars] = 1 / 12
-        assert chi_square_counts(counts, probs, draws) > 1e-3
-
-    def test_single_bubble_conditional_uniform(self):
-        # empirical law matches uniform over proper colorings of the bubble
-        entries = [0, 2, 1, 0]
-        g = gamma_from_lehmer(entries, 0)
-        q = 4
-        rng = np.random.default_rng(6)
-        draws = 60_000
-        counts = Counter(uniform_coloring(g, q, rng).chars for _ in range(draws))
-        weights = {}
-        for chars in itertools.product(range(1, q + 1), repeat=4):
-            if all(chars[i - a] != chars[j - a] for a in (0,)
-                   for (i, j) in g.arcs):
-                weights[chars] = 1
-        # endpoint pair uniform over ordered distinct pairs, interior uniform
-        probs = {}
-        for chars, _ in weights.items():
-            ext = sum(1 for other in weights
-                      if other[0] == chars[0] and other[-1] == chars[-1])
-            probs[chars] = (1 / (q * (q - 1))) / ext
-        assert abs(sum(probs.values()) - 1) < 1e-9
-        assert chi_square_counts(counts, probs, draws) > 1e-3
-
-    def test_restriction_uniform_over_induced_subgraph(self):
-        # between bubble endpoints the law is uniform over proper colorings
-        entries = [0, 1, 0, 2, 1, 0]
-        g = gamma_from_lehmer(entries, 0)
-        rng = np.random.default_rng(7)
-        q = 3
-        draws = 80_000
-        counts = Counter(uniform_coloring(g, q, rng).chars for _ in range(draws))
-        arcs = g.arcs
-        proper = [chars for chars in itertools.product(range(1, q + 1), repeat=6)
-                  if all(chars[i] != chars[j] for i, j in arcs)]
-        assert len(proper) == color_count_brute(g, q)
-        probs = {chars: 1 / len(proper) for chars in proper}
-        assert chi_square_counts(counts, probs, draws) > 1e-3
 
 
 class TestPipelines:

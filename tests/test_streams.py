@@ -1,6 +1,7 @@
 import numpy as np
 
-from mallows_coloring.streams import (mix, mix_keys, u01,
+from mallows_coloring import sampler, streams
+from mallows_coloring.streams import (MASK64, mix, mix_keys, u01,
                                       u01_array, u01_from_word,
                                       u01_from_words, u01_keys, u01_next)
 
@@ -75,3 +76,23 @@ def test_array_hash_leaves_inputs_alone():
     keep = sites.copy()
     u01_keys(1, sites, sites, 3)
     assert (sites == keep).all()
+
+
+def test_all_ones_hash_stays_below_one(monkeypatch):
+    # (2^53 - 1) + 0.5 rounds to 2^53, so the all-ones hash would give 1.0;
+    # a pick from 1.0 would be q - 1 and a colour pair index past its table
+    below = np.nextafter(1.0, 0.0)
+    bits = np.array([MASK64, MASK64 - (1 << 11), 0], dtype=np.uint64)
+    u = streams._u01_bits(bits)
+    assert u[0] == below
+    assert u[1:].tolist() == [(2**53 - 2 + 0.5) * 2.0**-53, 2.0**-54]
+    monkeypatch.setattr(streams, "mix", lambda seed, *words: MASK64)
+    monkeypatch.setattr(streams, "_finalize", lambda z: MASK64)
+    assert streams.u01(1, 2) == below
+    assert streams.u01_from_word(1, 2) == below
+    for q in (3, 5, 255):
+        assert sampler._picks(np.array([below]), q)[0] == q - 2
+        x = np.array([below * q * (q - 1)])
+        first, second, _ = sampler._color_pairs(x, q)
+        assert (int(first[0]), int(second[0])) == (q, q - 1)
+
