@@ -13,7 +13,8 @@ from scipy import stats
 from mallows_coloring import dist
 from mallows_coloring.perm import (LehmerSeq, all_perms, bubbles,
                                    color_counts_brute, constraint_graph,
-                                   decode_insertion, decode_lehmer, founders)
+                                   decode_insertion, decode_lehmer, founders,
+                                   lehmer_code)
 from mallows_coloring.sampler import (ColoringSample, SampleParams,
                                       ffiid_detail, ffiid_sample,
                                       gamma_from_lehmer,
@@ -41,34 +42,100 @@ def _pushforward(specs, decode):
     return dict(mass)
 
 
-class TestCodeLemmas:
-    def test_mallows_code_lemma_exact(self):
-        # independent truncated geometric entries, entry off truncated at
-        # n - 1 - off, decode to mass t^inv / Z
+def _mallows_code_law(n, t):
+    """Exact law of decode_lehmer of n independent truncated geometric code
+    entries, entry off truncated at n - 1 - off."""
+    specs = [dist.GeomSpec(dist.GeomVariant.TRUNCATED, t, trunc=n - 1 - off)
+             for off in range(n)]
+    return _pushforward(specs, lambda code: decode_lehmer(
+        LehmerSeq(1, code, "lehmer")))
+
+
+def _bubble_biased_law(n, t, u):
+    """(exact law of decode_insertion of n independent end-weighted entries,
+    entry off truncated at off; the law u^bubbles t^inv / Z it should be)."""
+    specs = [dist.GeomSpec(dist.GeomVariant.END_WEIGHTED, t, u, trunc=off)
+             for off in range(n)]
+    mass = _pushforward(specs, lambda code: decode_insertion(
+        LehmerSeq(0, code, "insertion")))
+    weights = {s.image: u ** len(bubbles(constraint_graph(s)))
+               * t ** s.inv_count() for s in all_perms(0, n)}
+    z = sum(weights.values())
+    return mass, {image: w / z for image, w in weights.items()}
+
+
+class TestMallowsSampler:
+    """The Mallows code lemma, exactly: independent truncated geometric code
+    entries decode to the Mallows law t^inv / Z."""
+
+    def test_t_zero_gives_identity(self):
+        for n in range(1, 7):
+            mass = _mallows_code_law(n, Fraction(0))
+            assert {image: w for image, w in mass.items() if w} == {
+                tuple(range(1, n + 1)): 1}
+
+    def test_law_matches_inversion_weights(self):
         t = Fraction(2, 5)
         for n in range(1, 7):
-            specs = [dist.GeomSpec(dist.GeomVariant.TRUNCATED, t,
-                                   trunc=n - 1 - off) for off in range(n)]
-            mass = _pushforward(specs, lambda code: decode_lehmer(
-                LehmerSeq(1, code, "lehmer")))
             weights = {s.image: t ** s.inv_count() for s in all_perms(1, n)}
+            z = sum(weights.values())
+            assert _mallows_code_law(n, t) == {
+                image: w / z for image, w in weights.items()}
+
+    def test_mean_inversions(self):
+        # inv is the sum of the code entries, so its Mallows mean is the sum
+        # of the truncated geometric means
+        t = Fraction(2, 5)
+        for n in range(1, 7):
+            weights = {s: t ** s.inv_count() for s in all_perms(1, n)}
+            mean = sum(s.inv_count() * w for s, w in weights.items()) \
+                / sum(weights.values())
+            assert mean == sum(
+                sum(j * dist.pmf(dist.GeomSpec(dist.GeomVariant.TRUNCATED, t,
+                                               trunc=n - i), j)
+                    for j in range(n - i + 1))
+                for i in range(1, n + 1))
+
+
+class TestBubbleMallows:
+    def test_unit_weight_reduces_to_mallows(self):
+        t = Fraction(2, 5)
+        for n in range(1, 7):
+            mass, _ = _bubble_biased_law(n, t, Fraction(1))
+            weights = {s.image: t ** s.inv_count() for s in all_perms(0, n)}
             z = sum(weights.values())
             assert mass == {image: w / z for image, w in weights.items()}
 
-    def test_bubble_biased_code_lemma_exact(self):
-        # independent end-weighted entries, entry off truncated at off,
-        # insertion-decode to mass u^bubbles t^inv / Z; u = 1 is Mallows
-        t = Fraction(2, 5)
-        for u, n in itertools.product((Fraction(1), Fraction(4, 3)),
-                                      range(1, 7)):
-            specs = [dist.GeomSpec(dist.GeomVariant.END_WEIGHTED, t, u,
-                                   trunc=off) for off in range(n)]
-            mass = _pushforward(specs, lambda code: decode_insertion(
-                LehmerSeq(0, code, "insertion")))
-            weights = {s.image: u ** len(bubbles(constraint_graph(s)))
-                       * t ** s.inv_count() for s in all_perms(0, n)}
-            z = sum(weights.values())
-            assert mass == {image: w / z for image, w in weights.items()}
+    def test_bubble_biased_law(self):
+        for n in range(1, 7):
+            mass, law = _bubble_biased_law(n, Fraction(2, 5), Fraction(4, 3))
+            assert mass == law
+
+    def test_conditional_code_entries_exact(self):
+        # conditional on the minimum arriving before position i, the code
+        # entries at i.. are independent zero-weighted truncated geometrics;
+        # criterion 11 checks t = 2/5, u = 4/3, so this takes other weights
+        t = Fraction(1, 3)
+        m, n = 0, 5
+        for u, i in itertools.product((Fraction(1, 2), Fraction(1)),
+                                      (1, 2, 3, 4)):
+            cond: dict[tuple, Fraction] = {}
+            total = Fraction(0)
+            for sigma in all_perms(m, n - m + 1):
+                if sigma.inverse(0) >= i:
+                    continue
+                b = len(founders(sigma)) - 1
+                w = u**b * t ** sigma.inv_count()
+                key = tuple(lehmer_code(sigma).entries[i - m:])
+                cond[key] = cond.get(key, Fraction(0)) + w
+                total += w
+            for key, w in cond.items():
+                expect = Fraction(1)
+                for off, e in enumerate(key):
+                    spec = dist.GeomSpec(dist.GeomVariant.ZERO_WEIGHTED, t, u,
+                                         trunc=n - (i + off))
+                    expect *= dist.pmf(spec, e)
+                assert w / total == expect
 
 
 class TestGammaFromLehmer:
@@ -106,42 +173,101 @@ class TestGammaFromLehmer:
             gamma_from_lehmer([0], 0)
 
 
-class TestBubbleFill:
-    def test_fill_is_a_bijection_onto_proper_colorings(self):
-        # every block code [0, e_1..e_m, 0], e_i in 1..m+1-i, m <= 5: its
-        # graph is the decoded permutation's, and these are all single-bubble
-        # graphs on 2..7 sites.  Per q, each of the (q-2)^m pick vectors
-        # colors one copy of the block through the pipelines' kernel, flanks
-        # (1, 2); the rows must be the distinct proper colorings with those
-        # flanks, (q-2)^m of the q(q-1)(q-2)^m by color symmetry.
-        from mallows_coloring.sampler import (_arrival, _earliest, _fill,
-                                              _splits)
-        codes = [(0,) + inner + (0,) for m in range(6)
-                 for inner in itertools.product(*(range(1, m + 2 - i)
-                                                  for i in range(1, m + 1)))]
-        assert len(codes) == 154
-        graph_of = {code: gamma_from_lehmer(code, 0) for code in codes}
-        for code, graph in graph_of.items():
-            assert graph == constraint_graph(
-                decode_lehmer(LehmerSeq(0, code, "lehmer")))
+def _single_bubble_graphs():
+    """{code: graph} over every block code [0, e_1..e_m, 0] with e_i in
+    1..m+1-i and m <= 5: 154 codes giving the 65 single-bubble graphs on
+    2..7 sites."""
+    codes = [(0,) + inner + (0,) for m in range(6)
+             for inner in itertools.product(*(range(1, m + 2 - i)
+                                              for i in range(1, m + 1)))]
+    return {code: gamma_from_lehmer(code, 0) for code in codes}
+
+
+def _run_fill(entries, colors):
+    """The pipelines' bubble-fill kernel on one code field, in place:
+    colors holds the zeros' colors and the other sites' picks."""
+    from mallows_coloring.sampler import _arrival, _earliest, _fill, _splits
+    zeros = (entries == 0).nonzero()[0]
+    order, _, _ = _arrival(entries, zeros)
+    _fill(colors, _splits(zeros[:-1], zeros[1:],
+                          _earliest(order, len(entries))))
+
+
+class TestArrivalPeeling:
+    def test_peel_completes_on_every_single_bubble(self):
+        # the block codes' graphs are the decoded permutations' and are all
+        # the single-bubble graphs on 2..7 sites; on each, the pipelines'
+        # level-by-level walk visits each interior site exactly once, and
+        # its gaps and splits reproduce the graph's arcs
+        from mallows_coloring.sampler import _arrival, _earliest, _splits
+        graph_of = _single_bubble_graphs()
+        assert len(graph_of) == 154 and len(set(graph_of.values())) == 65
         for n in range(2, 8):
             bubble_graphs = {constraint_graph(s) for s in all_perms(0, n)
                              if len(founders(s)) == 2}
             assert bubble_graphs == {g for g in graph_of.values() if g.n == n}
-        assert len(set(graph_of.values())) == 65
+        for code, graph in graph_of.items():
+            assert graph == constraint_graph(
+                decode_lehmer(LehmerSeq(0, code, "lehmer")))
+            entries = np.array(code, dtype=np.int64)
+            zeros = (entries == 0).nonzero()[0]
+            order, _, _ = _arrival(entries, zeros)
+            splits = [(v, lo, hi) for level in _splits(
+                          zeros[:-1], zeros[1:], _earliest(order, len(code)))
+                      for v, lo, hi in zip(*(a.tolist() for a in level))]
+            assert sorted(v for v, _, _ in splits) == list(
+                range(1, len(code) - 1)), code
+            arcs = {(0, len(code) - 1)}
+            for v, lo, hi in splits:
+                arcs.update({(lo, v), (v, hi)})
+            assert arcs == graph.arcs, code
+
+
+def _proper(graph, q):
+    """All proper q-colorings of graph, as tuples of sites 0..n-1."""
+    return {chars for chars in itertools.product(range(1, q + 1),
+                                                 repeat=graph.n)
+            if all(chars[i] != chars[j] for i, j in graph.arcs)}
+
+
+class TestUniformColoring:
+    def test_path_graph_walk_law(self, monkeypatch):
+        # the anchor walk maps the q (q-1)^(n-1) equal cells of its
+        # uniforms one to one onto the proper colorings of a path
+        from mallows_coloring import sampler
+        for q, n in itertools.product((3, 4, 5), (2, 3, 4)):
+            rows = []
+            for first, *steps in itertools.product(
+                    range(q), *[range(q - 1)] * (n - 1)):
+                monkeypatch.setattr(sampler, "u01",
+                                    lambda *words: (first + 0.5) / q)
+                monkeypatch.setattr(
+                    sampler, "u01_next",
+                    lambda keys, *words: (np.array(steps, dtype=float)
+                                          + 0.5) / (q - 1))
+                rows.append(tuple(sampler._walk_colors(
+                    0, 0, np.zeros(n - 1, dtype=np.uint64), q,
+                    sampler.S_WALK_FIRST, sampler.S_WALK_STEP).tolist()))
+            path = gamma_from_lehmer([0] * n, 0)
+            assert len(set(rows)) == len(rows), (q, n)
+            assert set(rows) == _proper(path, q), (q, n)
+
+    def test_single_bubble_conditional_uniform(self):
+        # per q, each of the (q-2)^m pick vectors colors one copy of a
+        # single-bubble block through the pipelines' kernel, flanks (1, 2):
+        # the rows must be the distinct proper colorings with those flanks,
+        # (q-2)^m of the q(q-1)(q-2)^m by color symmetry
         cases = []
-        for q, (code, graph) in itertools.product((3, 4, 5), graph_of.items()):
+        for q, (code, graph) in itertools.product(
+                (3, 4, 5), _single_bubble_graphs().items()):
             m = graph.n - 2
             picks = list(itertools.product(range(1, q - 1), repeat=m))
             colors = np.empty((len(picks), m + 2), dtype=np.uint8)
             colors[:, 0], colors[:, -1] = 1, 2
             colors[:, 1:-1] = picks
             colors = colors.ravel()
-            entries = np.tile(np.array(code, dtype=np.int64), len(picks))
-            zeros = (entries == 0).nonzero()[0]
-            order, _, _ = _arrival(entries, zeros)
-            _fill(colors, _splits(zeros[:-1], zeros[1:],
-                                  _earliest(order, len(entries))))
+            _run_fill(np.tile(np.array(code, dtype=np.int64), len(picks)),
+                      colors)
             rows = colors.reshape(len(picks), m + 2)
             for i, j in graph.arcs:
                 assert (rows[:, i] != rows[:, j]).all(), (code, q)
@@ -149,6 +275,31 @@ class TestBubbleFill:
             cases.append((graph, q))
         assert color_counts_brute(cases) == [
             q * (q - 1) * (q - 2) ** (g.n - 2) for g, q in cases]
+
+    def test_restriction_uniform_over_induced_subgraph(self):
+        # across several bubbles, the zeros' proper path colorings times the
+        # interior picks map one to one onto the graph's proper colorings
+        entries = [0, 1, 0, 2, 1, 0]
+        g = gamma_from_lehmer(entries, 0)
+        zeros = [i for i, e in enumerate(entries) if e == 0]
+        inner = [i for i, e in enumerate(entries) if e != 0]
+        for q in (3, 4, 5):
+            walks = [w for w in itertools.product(range(1, q + 1),
+                                                  repeat=len(zeros))
+                     if all(a != b for a, b in zip(w, w[1:]))]
+            picks = list(itertools.product(range(1, q - 1),
+                                           repeat=len(inner)))
+            rows = np.empty((len(walks), len(picks), len(entries)),
+                            dtype=np.uint8)
+            rows[:, :, zeros] = np.array(walks)[:, None, :]
+            rows[:, :, inner] = np.array(picks)[None, :, :]
+            colors = rows.ravel()
+            _run_fill(np.tile(np.array(entries, dtype=np.int64),
+                              len(walks) * len(picks)), colors)
+            got = [tuple(r) for r in colors.reshape(-1, len(entries)).tolist()]
+            assert len(set(got)) == len(got), q
+            assert set(got) == _proper(g, q), q
+            assert len(got) == color_counts_brute([(g, q)])[0]
 
 
 class TestArrayKernel:
