@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import decimal
 import functools
 import json
@@ -66,12 +67,14 @@ def _envelope(command: str, params: dict, seed: int | None, results: dict) -> di
             "results": results, "version": VERSION}
 
 
+def _open_out(out: str | None):
+    """The file `out` opened for writing, or standard output, as a context."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -189,22 +192,37 @@ def _cmd_exact(args, parser) -> int:
 # sample
 
 
+#: Rows that `sample --format csv` formats and writes at a time.
+_CSV_ROWS = 1 << 14
+
+
+def _write_csv(start: int, columns: list, out: str | None) -> None:
+    """Write the (name, per-site array) columns as CSV rows after an index
+    column from `start`, _CSV_ROWS rows at a time."""
+    header = ["index"] + [name for name, _ in columns]
+    row = ",".join(["{}"] * len(header)) + "\n"
+    n = len(columns[0][1])
+    with _open_out(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, n)
+            values = (a[lo:hi].astype(np.int64).tolist() for _, a in columns)
+            fh.write("".join(map(row.format, range(start + lo, start + hi),
+                                 *values)))
+
+
 def _cmd_sample(args, parser) -> int:
     _require_sampleable(parser, args.q, args.k)
     sample = _PIPELINES[args.method](args.q, args.k, args.length, args.seed)
     # (CSV column, JSON key, values) of each per-site array the sample has
-    arrays = [(col, key, a.astype(np.int64).tolist()) for col, key, a in (
+    arrays = [(col, key, a) for col, key, a in (
         ("color", "colors", sample.colors), ("radius", "radii", sample.radii),
         ("endpoint", "endpoints", sample.endpoint_mask)) if a is not None]
     if args.format == "csv":
-        header = ["index"] + [col for col, _, _ in arrays]
-        row = ",".join(["{}"] * len(header)) + "\n"
-        index = range(sample.start, sample.start + len(sample))
-        _emit(",".join(header) + "\n" + "".join(
-            map(row.format, index, *(v for _, _, v in arrays))), args.out)
+        _write_csv(sample.start, [(col, a) for col, _, a in arrays], args.out)
         return 0
     results = {"start": sample.start, "t": sample.params.t, "s": sample.params.s}
-    results.update((key, v) for _, key, v in arrays)
+    results.update((key, a.astype(np.int64).tolist()) for _, key, a in arrays)
     params = {"q": args.q, "k": args.k, "length": args.length,
               "method": args.method}
     _emit_json(_envelope("sample", params, args.seed, results), args.out)

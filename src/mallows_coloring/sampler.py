@@ -58,8 +58,7 @@ import numpy as np
 from . import dist
 # decrement_cycle_values, mix and u01_from_word are the scalar forms of what
 # _arrival and the ffiid draws compute; they stay importable from here.
-from .perm import (ConstraintGraph, LehmerSeq, decode_insertion,  # noqa: F401
-                   decrement_cycle_values)
+from .perm import ConstraintGraph, decrement_cycle_values  # noqa: F401
 from .streams import (mix, mix_keys, u01, u01_array, u01_from_word,  # noqa: F401
                       u01_from_words, u01_keys, u01_next)
 from .tpoly import solve_tuning
@@ -195,18 +194,25 @@ def lehmer_marginal_at_origin(n: int, t: float, u: float,
     permutations of [-n, n].
 
     As the interval grows this marginal converges to the zero-weighted
-    geometric law with weight u at zero; drawn via the insertion decode.
+    geometric law with weight u at zero.  Each draw is an insertion code,
+    read as decode_insertion reads it: walking the arrival times backwards,
+    the position arriving at each has `e` of the positions not yet removed
+    to its right.  With r of those right of the origin (n at first), e < r
+    removes one of them and e == r the origin itself; the r positions right
+    of it arrive earlier, so its Lehmer entry is that e.
     """
     size = 2 * n + 1
-    entries = np.empty((draws, size), dtype=np.int64)
+    entries = np.empty((size, draws), dtype=np.int64)
     for off in range(size):
         spec = dist.GeomSpec(dist.GeomVariant.END_WEIGHTED, t, u, trunc=off)
-        entries[:, off] = dist.sample(spec, rng, size=draws)
+        entries[off] = dist.sample(spec, rng, size=draws)
     out = np.empty(draws, dtype=np.int64)
-    for row in range(draws):
-        sigma = decode_insertion(LehmerSeq(-n, tuple(entries[row]), "insertion"))
-        img = np.asarray(sigma.image)
-        out[row] = int((img[n + 1:] < img[n]).sum())
+    r = np.full(draws, n, dtype=np.int64)
+    for e in entries[::-1]:
+        origin = e == r
+        out[origin] = e[origin]
+        r -= e < r
+        r[origin] = -1  # past the origin: no entry matches or falls below
     return out
 
 
@@ -295,51 +301,77 @@ def _arrival(entries: np.ndarray, zeros: np.ndarray):
     field, whose entries may exceed the in-block bounds.
 
     The arrival times of a block a..b are decrement_cycle_values of
-    entries[a..b] (a and b come first).  Its cycles act on the interior
-    sites of all blocks together, one cycle index per numpy step, longest
-    blocks first so the active prefix shrinks; one sort then orders each
-    block.  Returns (order, za, g): the interior sites block by block, each
-    in arrival order, and the blocks' left zeros and interior sizes.
-    Raises before the loop when its work, the sum of g^2, passes
-    ARRIVAL_WORK_CAP.
+    entries[a..b] (a and b come first).  A block with one interior site
+    has nothing to order; only the blocks with two or more are ordered.
+    Their cycles act on the interior sites of those blocks together, one
+    cycle index per numpy step, longest blocks first so the active prefix
+    shrinks; one stable sort then orders each block.  So the cost follows
+    the sites of multi-site blocks, not the window.
+
+    Returns (order, za, g): the interior sites block by block, each in
+    arrival order, and the blocks' left zeros and interior sizes; the
+    multi-site blocks come first, longest first, then the one-site blocks
+    left to right, so g is non-increasing.  order is int32.  Raises before
+    the loop when its work, the sum of g^2, passes ARRIVAL_WORK_CAP.
     """
     g = zeros[1:] - zeros[:-1]
     g -= 1
     if int(g @ g) > ARRIVAL_WORK_CAP:
         raise RuntimeError("arrival work exceeded cap; parameters degenerate")
-    by_size = np.argsort(-g)[:np.count_nonzero(g)]
-    za, g = zeros[by_size], g[by_size]
-    ends = np.cumsum(g)
+    multi = (g > 1).nonzero()[0]
+    multi = multi[np.argsort(-g[multi])]
+    single = (g == 1).nonzero()[0]
+    za = np.concatenate((zeros[multi], zeros[single]))
+    g = np.concatenate((g[multi], g[single]))
+    zm, gm = za[:len(multi)], g[:len(multi)]
+    ends = np.cumsum(gm)
+    sites = int(ends[-1]) if len(gm) else 0
+    order = np.empty(sites + len(single), dtype=np.int32)
+    order[sites:] = za[len(multi):]
+    order[sites:] += 1
     # Site arrays are int32 but for w, which large entries push far down.
-    blk = np.repeat(np.arange(len(g), dtype=np.int32), g)
-    within = np.arange(len(blk), dtype=np.int32)
-    within -= (ends - g)[blk]
-    # w = b - (value) for the block's right zero b; the cycle at b - d moves
-    # the values of (b - d, b - d + e] down by one and b - d up to b - d + e.
-    w = g[blk] - within
-    right = (za + g + 1).astype(np.int32)[blk]
-    longest = int(g[0]) if len(g) else 0
+    # w = b - (value) for the block's right zero b, at first b - site; the
+    # cycle at b - d moves the values of (b - d, b - d + e] down by one and
+    # b - d up to b - d + e.  at holds b - d; the active prefix only
+    # shrinks, so one decrement per step keeps it.
+    at = np.repeat((zm + gm).astype(np.int32), gm)
+    w = np.repeat(ends, gm)
+    w -= np.arange(sites, dtype=np.int32)
+    longest = int(gm[0]) if len(gm) else 0
     steps = np.arange(1, longest + 1)
-    active = ends[np.searchsorted(-g, -steps, side="right") - 1]
+    active = ends[np.searchsorted(-gm, -steps, side="right") - 1]
     for d, m in zip(steps.tolist(), active.tolist()):
         ww = w[:m]
-        low = d - entries[right[:m] - d]
+        low = entries.take(at[:m])
+        at[:m] -= 1
+        np.subtract(d, low, out=low)
         top = ww == d
-        ww += (ww < d) & (ww >= low)
-        ww[top] = low[top]
-    del right
-    if longest > 1:
-        # by block, then by value (w descending)
-        span = int(w.max()) - int(w.min()) + 1
-        if span * len(g) < 2**31:
-            key = blk * span
-            key -= w
-            order = np.argsort(key)
-        else:
-            order = np.lexsort((-w, blk))
-        within = within[order]
-    order = within
-    order += (za + 1)[blk]
+        moved = ww >= low
+        moved &= ww < d
+        ww += moved
+        np.copyto(ww, low, where=top)
+    del at
+    if not sites:
+        return order, za, g
+    # By block, then by value (w descending).  The keys are distinct and
+    # already grouped by block, which the stable sort exploits.  Each
+    # position stays in its block, so shifting it by its block's za + 1
+    # less the block's first position gives its site.
+    span = int(w.max()) - int(w.min()) + 1
+    if span * len(gm) < 2**31:
+        key = np.repeat(np.arange(0, span * len(gm), span, dtype=np.int32), gm)
+        key -= w
+        del w
+        within = np.argsort(key, kind="stable")
+        del key
+    else:
+        blk = np.repeat(np.arange(len(gm)), gm)
+        within = np.lexsort((-w, blk))
+        del w, blk
+    head = order[:sites]
+    head[:] = within
+    del within
+    head += np.repeat((zm + 1 - (ends - gm)).astype(np.int32), gm)
     return order, za, g
 
 
@@ -688,10 +720,11 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     u *= q * (q - 1)
     z1, z2, escape = _color_pairs(u, q)
     del u
-    # esc_idx[j]: the last escape at or before zero j (zero 0 escapes).
-    esc = escape.nonzero()[0]
-    esc_idx = np.repeat(esc, np.diff(esc, append=len(zs)))
-    del esc
+    # esc_idx[j]: the last escape at or before zero j (zero 0 escapes), a
+    # running maximum over the escapes' indices.
+    esc_idx = np.arange(len(zs))
+    esc_idx *= escape
+    np.maximum.accumulate(esc_idx, out=esc_idx)
     # Forward pass, all zero sites at once: each takes its first candidate
     # unless that is its predecessor's color.  An escape takes its first;
     # after it, the choice flips at each site whose first candidate is its

@@ -117,6 +117,26 @@ class TestSample:
                      "--seed", "3", "--method", "ffiid")
         assert out.startswith("index,color,radius,endpoint\n")
 
+    @pytest.mark.parametrize("method", ["painting", "lehmer", "ffiid"])
+    def test_csv_chunks_match_one_string(self, capsys, method):
+        # lengths around the number of rows written at a time: the output
+        # is the whole window's CSV text, formatted as one string
+        rows = cli._CSV_ROWS
+        for length in (1, rows - 1, rows, rows + 1):
+            code, out = run(capsys, "sample", "--q", "3", "--k", "3",
+                            "--length", str(length), "--seed", "6",
+                            "--method", method)
+            sample = cli._PIPELINES[method](3, 3, length, 6)
+            named = [(name, a) for name, a in (
+                ("color", sample.colors), ("radius", sample.radii),
+                ("endpoint", sample.endpoint_mask)) if a is not None]
+            values = [a.astype(int).tolist() for _, a in named]
+            index = range(sample.start, sample.start + length)
+            want = ",".join(["index"] + [name for name, _ in named]) + "\n"
+            want += "".join(",".join(map(str, row)) + "\n"
+                            for row in zip(index, *values))
+            assert code == 0 and out == want, length
+
     def test_json_mode(self, capsys):
         code, payload = run_json(capsys, "sample", "--q", "3", "--k", "3",
                                  "--length", "50", "--seed", "1",

@@ -307,7 +307,10 @@ class TestArrayKernel:
     def test_arrival_matches_decrement_oracle(self, huge):
         # 20,000 random blocks in one code field, interior entries up to
         # twice past the in-block bound, and some empty blocks; with `huge`,
-        # some entries near 2^40, whose value range needs the wide sort
+        # some entries near 2^40, whose value range needs the wide sort.
+        # Without it, also the layouts in which little or nothing needs
+        # ordering: no interior sites, one-site blocks only, and one
+        # multi-site block among many one-site blocks
         from mallows_coloring.perm import decrement_cycle_values
         from mallows_coloring.sampler import _arrival
         rng = np.random.default_rng(40 + huge)
@@ -320,20 +323,30 @@ class TestArrayKernel:
                 if huge and rng.random() < 0.01:
                     field[-1] += 2**40 + int(rng.integers(0, 100))
             field.append(0)
-        entries = np.array(field, dtype=np.int64)
-        zeros = np.flatnonzero(entries == 0)
-        order, za, g = _arrival(entries, zeros)
-        assert int(g.sum()) == len(entries) - len(zeros)
-        assert (np.diff(g) <= 0).all()
-        pos = 0
-        for a, size in zip(za.tolist(), g.tolist()):
-            values = decrement_cycle_values(field[a:a + size + 2], a, "lehmer")
-            ranks = sorted(range(size + 2), key=values.__getitem__)
-            # the endpoints arrive first, so interior ranks start at 2
-            assert ranks[:2] == [0, size + 1]
-            assert order[pos:pos + size].tolist() == [a + r for r in ranks[2:]]
-            pos += size
-        assert pos == len(order)
+        fields = [field]
+        if not huge:
+            singles = [0] + [x for e in rng.integers(1, 4, size=200).tolist()
+                             for x in (e, 0)]
+            fields += [[0], [0] * 50, singles,
+                       singles[:201] + [3, 7, 1, 2, 5, 0] + singles[1:]]
+        for field in fields:
+            entries = np.array(field, dtype=np.int64)
+            zeros = np.flatnonzero(entries == 0)
+            order, za, g = _arrival(entries, zeros)
+            assert order.dtype == np.int32
+            assert int(g.sum()) == len(entries) - len(zeros)
+            assert (np.diff(g) <= 0).all()
+            pos = 0
+            for a, size in zip(za.tolist(), g.tolist()):
+                values = decrement_cycle_values(field[a:a + size + 2], a,
+                                                "lehmer")
+                ranks = sorted(range(size + 2), key=values.__getitem__)
+                # the endpoints arrive first, so interior ranks start at 2
+                assert ranks[:2] == [0, size + 1]
+                assert order[pos:pos + size].tolist() == [
+                    a + r for r in ranks[2:]]
+                pos += size
+            assert pos == len(order)
 
     @pytest.mark.parametrize("q,k", [(5, 1), (3, 3), (6, 2), (8, 1)])
     def test_vector_split_matches_scalar(self, q, k, monkeypatch):
@@ -777,6 +790,25 @@ class TestMemory:
 
 
 class TestCodingConvergence:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_origin_marginal_matches_insertion_decode(self, n):
+        # the same draws, each row decoded into its permutation, whose
+        # Lehmer entry at the origin counts the positions right of it that
+        # arrive earlier
+        t, u, draws = 0.6, 4 / 3, 400
+        got = lehmer_marginal_at_origin(n, t, u, np.random.default_rng(n),
+                                        draws)
+        rng = np.random.default_rng(n)
+        columns = [dist.sample(dist.GeomSpec(dist.GeomVariant.END_WEIGHTED,
+                                             t, u, trunc=off), rng, size=draws)
+                   for off in range(2 * n + 1)]
+        want = []
+        for row in zip(*(c.tolist() for c in columns)):
+            img = decode_insertion(LehmerSeq(-n, row, "insertion")).image
+            want.append(sum(v < img[n] for v in img[n + 1:]))
+        assert got.tolist() == want
+        assert len(set(want)) >= min(n + 1, 3)
+
     def test_origin_marginal_matches_limit_law(self):
         q = 5
         t, _ = tuned_parameters(q, 1)
