@@ -9,7 +9,7 @@ from .perm import (ConstraintGraph, LehmerSeq, Perm, bubbles, color_count,
                    color_count_brute, constraint_graph, decode_insertion,
                    decode_lehmer, founders, insertion_code, is_proper_building,
                    lehmer_code)
-from .sampler import (ColoringSample, MarkovState, SampleParams, ffiid_sample,
+from .sampler import (ColoringSample, SampleParams, ffiid_sample,
                       gamma_from_lehmer, lehmer_pipeline_sample, markov_states,
                       painting_sample)
 from .tpoly import (AlgebraicT, NoSolutionError, RatPoly, poly_remainder,

@@ -72,40 +72,40 @@ def _open_out(out: str | None):
     return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _emit(text: str, out: str | None) -> None:
-    with _open_out(out) as fh:
-        fh.write(text)
-
-
 def _emit_json(payload: dict, out: str | None) -> None:
-    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline,
+    each numpy array in the payload's dicts as its list of ints.
 
     With an indent, json runs its pure-Python encoder, one step per list
-    element.  So every non-empty list of ints held in the payload's dicts
-    (the per-site arrays of `sample`) is set aside behind a stand-in string
-    and written here, one element per line at its indent; json writes the
-    rest.  Stand-ins start with NUL, which no command-line value can hold.
+    element.  So every array (the per-site columns of `sample`, never
+    empty) is set aside behind a stand-in string, numbered in the order
+    json writes the stand-ins, and written here one element per line at
+    its indent, _CSV_ROWS elements at a time; json writes the rest.
+    Stand-ins start with NUL, which no command-line value can hold.
     """
-    lists: list[list[int]] = []
+    arrays: list[np.ndarray] = []
 
     def set_aside(value):
         if isinstance(value, dict):
-            return {key: set_aside(v) for key, v in value.items()}
-        if (isinstance(value, list) and value
-                and all(type(v) is int for v in value)):
-            lists.append(value)
-            return f"\0{len(lists) - 1}"
+            return {key: set_aside(v) for key, v in sorted(value.items())}
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+            return f"\0{len(arrays) - 1}"
         return value
 
-    text = json.dumps(set_aside(payload), indent=2, sort_keys=True)
-    for i, values in enumerate(lists):
-        head, tail = text.split(json.dumps(f"\0{i}"))
-        line = head[head.rfind("\n") + 1:]
-        indent = " " * (len(line) - len(line.lstrip(" ")))
-        inner = indent + "  "
-        text = (head + "[\n" + inner + (",\n" + inner).join(map(str, values))
-                + "\n" + indent + "]" + tail)
-    _emit(text + "\n", out)
+    tail = json.dumps(set_aside(payload), indent=2, sort_keys=True)
+    with _open_out(out) as fh:
+        for i, values in enumerate(arrays):
+            head, tail = tail.split(json.dumps(f"\0{i}"))
+            line = head[head.rfind("\n") + 1:]
+            indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            sep = "," + indent + "  "
+            fh.write(head + "[")
+            for lo in range(0, len(values), _CSV_ROWS):
+                chunk = values[lo:lo + _CSV_ROWS].astype(np.int64).tolist()
+                fh.write((sep if lo else sep[1:]) + sep.join(map(str, chunk)))
+            fh.write(indent + "]")
+        fh.write(tail + "\n")
 
 
 def _positive_int(text: str) -> int:
@@ -192,7 +192,8 @@ def _cmd_exact(args, parser) -> int:
 # sample
 
 
-#: Rows that `sample --format csv` formats and writes at a time.
+#: CSV rows, or elements of a JSON array, that `sample` formats and writes
+#: at a time.
 _CSV_ROWS = 1 << 14
 
 
@@ -222,7 +223,7 @@ def _cmd_sample(args, parser) -> int:
         _write_csv(sample.start, [(col, a) for col, _, a in arrays], args.out)
         return 0
     results = {"start": sample.start, "t": sample.params.t, "s": sample.params.s}
-    results.update((key, a.astype(np.int64).tolist()) for _, key, a in arrays)
+    results.update((key, a) for _, key, a in arrays)
     params = {"q": args.q, "k": args.k, "length": args.length,
               "method": args.method}
     _emit_json(_envelope("sample", params, args.seed, results), args.out)

@@ -48,7 +48,6 @@ keys are part of the stable seed interface:
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import math
@@ -62,7 +61,6 @@ from .perm import ConstraintGraph, decrement_cycle_values  # noqa: F401
 from .streams import (mix, mix_keys, u01, u01_array, u01_from_word,  # noqa: F401
                       u01_from_words, u01_keys, u01_next)
 from .tpoly import solve_tuning
-from .words import Word
 
 # Stream identifiers; part of the stable seed-splitting interface.
 S_LEHMER_ZERO = 1
@@ -147,10 +145,6 @@ class ColoringSample:
 
     def __len__(self) -> int:
         return len(self.colors)
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.start, self.start + len(self.colors) - 1)
 
 
 def _with_gap_density(q: int, t: float) -> tuple[float, float]:
@@ -792,83 +786,52 @@ def ffiid_sample(q: int, k: int, length: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Markov-state extraction
+# Markov states
 
 
-@dataclasses.dataclass(frozen=True)
-class MarkovState:
-    """Local renewal state at a site: offsets of the flanking code zeros,
-    the bubble graph between them, and its colors, all in site-relative
-    coordinates.  The color at offset 0 reproduces the process."""
+def markov_states(sample: ColoringSample, entries):
+    """Renewal states of the window sites with a code zero at or before
+    them and another after them, as arrays (sites, ids, offsets) and a
+    list `contents`.
 
-    f_minus: int
-    f_plus: int
-    graph: ConstraintGraph
-    colors: Word
-
-    def __post_init__(self):
-        if self.f_minus > 0 or self.f_plus < 1:
-            raise ValueError("state offsets must satisfy f_minus <= 0 < f_plus")
-        for (i, j) in self.graph.arcs:
-            ci = self.colors.chars[i - self.colors.start]
-            cj = self.colors.chars[j - self.colors.start]
-            if ci == cj:
-                raise ValueError("state colors do not properly color the graph")
-
-    def h(self) -> int:
-        """Color at offset 0."""
-        return self.colors.chars[-self.f_minus]
-
-    def key(self) -> tuple:
-        return (self.f_minus, self.f_plus, tuple(sorted(self.graph.arcs)),
-                self.colors.chars)
-
-
-def iter_markov_states(sample: ColoringSample, entries, as_keys: bool = False):
-    """Yield (site, MarkovState) for every window site with a code zero at
-    or before it and another strictly after it, left to right.
-
-    With as_keys=True, hashable key tuples (f_minus, f_plus, sorted arcs,
-    colors) are yielded instead of state objects; return-time statistics
-    over long windows only need the keys.
+    The state at a site is the block between those zeros, with its bubble
+    graph and colors, and the site's offset from the block's left zero.
+    Blocks with equal colors and arcs share a content id; contents[id] is
+    their (ConstraintGraph, colors), indexed from 0 at the left zero, so
+    the color at sites[j] is contents[ids[j]][1][offsets[j]].  A window
+    with fewer than two zeros has no states.
     """
     entries = np.asarray(entries)
     if len(entries) != len(sample):
         raise ValueError("entries must align with the sample window")
-    q = sample.params.q
-    zero_offs = (entries == 0).nonzero()[0]
-    if len(zero_offs) < 2:
-        return
+    zeros = (entries == 0).nonzero()[0]
+    if len(zeros) < 2:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none, []
+    za, width = zeros[:-1], np.diff(zeros)
     lo, hi = _bubble_arcs(entries)
-    block_arcs = collections.defaultdict(list)
-    owner = zero_offs[np.searchsorted(zero_offs, lo, side="right") - 1]
-    for za, arc in zip(owner.tolist(), zip(lo.tolist(), hi.tolist())):
-        block_arcs[za].append(arc)
-    colors = sample.colors
-    for za, zb in zip(zero_offs.tolist(), zero_offs.tolist()[1:]):
-        arcs_abs = block_arcs[za]
-        block_colors = tuple(int(c) for c in colors[za:zb + 1])
-        for i in range(za, zb):
-            rel_arcs = {(x - i, y - i) for x, y in arcs_abs}
-            rel_arcs.update((o, o + 1) for o in range(za - i, zb - i))
-            if as_keys:
-                yield sample.start + i, (za - i, zb - i,
-                                         tuple(sorted(rel_arcs)), block_colors)
-                continue
-            graph = ConstraintGraph(za - i, zb - za + 1, frozenset(rel_arcs))
-            word = Word(za - i, block_colors, q)
-            yield sample.start + i, MarkovState(za - i, zb - i, graph, word)
-
-
-def markov_states(sample: ColoringSample, entries,
-                  sites=None) -> list[tuple[int, "MarkovState"]]:
-    """Materialized states; with `sites`, restrict to those and reject any
-    site lacking a flanking zero on either side within the window."""
-    out = list(iter_markov_states(sample, entries))
-    if sites is None:
-        return out
-    by_site = dict(out)
-    missing = [s for s in sites if s not in by_site]
-    if missing:
-        raise ValueError(f"sites too close to the window boundary: {missing}")
-    return [(s, by_site[s]) for s in sites]
+    by_site = np.lexsort((hi, lo))
+    lo, hi = lo[by_site], hi[by_site]
+    # A block's key is the bytes of its colors and of its arcs relative to
+    # its left zero, in site order, 8 bytes an arc.  The arcs of a block
+    # start at or after its left zero and before its right one.
+    first = np.searchsorted(lo, zeros)
+    shift = np.repeat(za, np.diff(first))
+    arcs = np.array((lo - shift, hi - shift), dtype=np.int32).T.tobytes()
+    bounds = (8 * first).tolist()
+    colors = sample.colors.tobytes()
+    ids: dict[tuple[bytes, bytes], int] = {}
+    block_ids = [ids.setdefault((colors[a:b + 1], arcs[i:j]), len(ids))
+                 for a, b, i, j in zip(za.tolist(), zeros[1:].tolist(),
+                                       bounds, bounds[1:])]
+    contents = []
+    for block_colors, block_arcs in ids:
+        n = len(block_colors)
+        rel = np.frombuffer(block_arcs, dtype=np.int32).tolist()
+        graph_arcs = {(i, i + 1) for i in range(n - 1)}
+        graph_arcs.update(zip(rel[::2], rel[1::2]))
+        contents.append((ConstraintGraph(0, n, frozenset(graph_arcs)),
+                         np.frombuffer(block_colors, dtype=np.uint8)))
+    sites = np.arange(zeros[0], zeros[-1])
+    offsets = sites - np.repeat(za, width)
+    return sample.start + sites, np.repeat(block_ids, width), offsets, contents

@@ -161,12 +161,16 @@ class TestSample:
             assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_json_sample_matches_json_dumps(self, capsys):
-        for method in ("painting", "lehmer", "ffiid"):
+        # arrays are written _CSV_ROWS elements at a time
+        rows = cli._CSV_ROWS
+        for method, length in itertools.product(
+                ("painting", "lehmer", "ffiid"), (40, rows - 1, rows, rows + 1)):
             _, out = run(capsys, "sample", "--q", "4", "--k", "2", "--length",
-                         "40", "--seed", "5", "--method", method,
+                         str(length), "--seed", "5", "--method", method,
                          "--format", "json")
             assert out == json.dumps(json.loads(out), indent=2,
                                      sort_keys=True) + "\n"
+            assert len(json.loads(out)["results"]["colors"]) == length
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sample.csv"

@@ -828,33 +828,73 @@ class TestCodingConvergence:
 class TestMarkovStates:
     def test_projection_reproduces_colors(self):
         sample, entries = lehmer_pipeline_detail(5, 1, 400, seed=16)
-        states = markov_states(sample, entries)
-        assert len(states) > 0
-        for site, state in states:
-            assert state.h() == sample.colors[site - sample.start]
+        sites, ids, offsets, contents = markov_states(sample, entries)
+        assert len(sites) > 0
+        colors = [contents[i][1][off] for i, off in zip(ids, offsets)]
+        assert colors == sample.colors[sites - sample.start].tolist()
 
     def test_adjacent_zeros_give_unit_state(self):
         sample, entries = lehmer_pipeline_detail(5, 1, 400, seed=17)
         zeros = np.flatnonzero(np.asarray(entries) == 0)
         pairs = [(a, b) for a, b in zip(zeros, zeros[1:]) if b == a + 1]
         assert pairs, "no adjacent zero pair in this window"
-        by_site = dict(markov_states(sample, entries))
-        for a, b in pairs[:5]:
-            state = by_site[sample.start + int(a)]
-            assert state.f_minus == 0 and state.f_plus == 1
-            assert state.graph.n == 2
-            assert state.graph.arcs == frozenset({(0, 1)})
+        sites, ids, offsets, contents = markov_states(sample, entries)
+        for a, _ in pairs[:5]:
+            j = int(np.searchsorted(sites, sample.start + a))
+            assert offsets[j] == 0
+            graph = contents[ids[j]][0]
+            assert graph.n == 2
+            assert graph.arcs == frozenset({(0, 1)})
 
     def test_rejects_boundary_sites(self):
+        # the states run from the first zero to the site before the last
         sample, entries = lehmer_pipeline_detail(5, 1, 400, seed=18)
-        last = sample.start + len(sample) - 1
-        with pytest.raises(ValueError):
-            markov_states(sample, entries, sites=[last])
+        zeros = np.flatnonzero(np.asarray(entries) == 0)
+        sites = markov_states(sample, entries)[0]
+        assert sites.tolist() == list(range(sample.start + zeros[0],
+                                            sample.start + zeros[-1]))
 
     def test_state_key_hashable(self):
+        # two blocks share an id if and only if their colors and arcs agree
         sample, entries = lehmer_pipeline_detail(3, 3, 300, seed=19)
-        seen = {state.key() for _, state in markov_states(sample, entries)}
-        assert len(seen) > 1
+        sites, ids, offsets, contents = markov_states(sample, entries)
+        zeros = np.flatnonzero(np.asarray(entries) == 0)
+        graph = gamma_from_lehmer(entries[zeros[0]:zeros[-1] + 1],
+                                  int(zeros[0]))
+        block_ids = ids[offsets == 0].tolist()
+        keys = []
+        for a, b in zip(zeros.tolist(), zeros[1:].tolist()):
+            arcs = frozenset((i - a, j - a) for i, j in graph.arcs
+                             if a <= i and j <= b)
+            keys.append((tuple(sample.colors[a:b + 1].tolist()), arcs))
+        pairs = set(zip(keys, block_ids))
+        assert len(pairs) == len(set(keys)) == len(set(block_ids)) > 1
+        assert len(contents) == len(pairs)
+        for key, i in zip(keys, block_ids):
+            content_graph, content_colors = contents[i]
+            assert key == (tuple(content_colors.tolist()), content_graph.arcs)
+
+    def test_contents_are_proper_and_offsets_inside_blocks(self):
+        # what each state checked of itself: its colors properly color its
+        # graph, and the site lies in the block, left zero included
+        for q, k, seed in ((5, 1, 16), (3, 3, 19)):
+            sample, entries = lehmer_pipeline_detail(q, k, 2000, seed)
+            sites, ids, offsets, contents = markov_states(sample, entries)
+            for graph, colors in contents:
+                assert len(colors) == graph.n
+                assert all(colors[i] != colors[j] for i, j in graph.arcs)
+            sizes = np.array([graph.n for graph, _ in contents])
+            assert (offsets >= 0).all()
+            assert (offsets < sizes[ids] - 1).all()
+
+    def test_window_without_two_zeros_has_no_states(self):
+        sample = lehmer_pipeline_sample(5, 1, 3, seed=0)
+        for entries in ([1, 2, 1], [1, 0, 2]):
+            sites, ids, offsets, contents = markov_states(sample, entries)
+            assert len(sites) == len(ids) == len(offsets) == 0
+            assert contents == []
+        with pytest.raises(ValueError):
+            markov_states(sample, [0, 0])
 
 
 class TestEmpiricalSymmetries:
@@ -899,20 +939,13 @@ class TestEmpiricalSymmetries:
 
 class TestMarkovReturnTimes:
     def test_return_time_exponential_tail(self):
-        from mallows_coloring.sampler import iter_markov_states
         from mallows_coloring.verify import tail_fit
         sample, entries = lehmer_pipeline_detail(5, 1, 1_000_000, seed=26)
-        counts = Counter()
-        last_seen: dict[tuple, int] = {}
-        gaps = Counter()
-        for site, key in iter_markov_states(sample, entries, as_keys=True):
-            counts[key] += 1
-        target, _ = counts.most_common(1)[0]
-        for site, key in iter_markov_states(sample, entries, as_keys=True):
-            if key == target:
-                if target in last_seen:
-                    gaps[site - last_seen[target]] += 1
-                last_seen[target] = site
+        sites, ids, offsets, _ = markov_states(sample, entries)
+        state = ids * (int(offsets.max()) + 1) + offsets
+        values, counts = np.unique(state, return_counts=True)
+        visits = sites[state == values[counts.argmax()]]
+        gaps = Counter(np.diff(visits).tolist())
         fit = tail_fit(gaps, min_count=20)
         assert fit.slope < 0
         assert fit.r2 > 0.95
