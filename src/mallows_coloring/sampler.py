@@ -28,22 +28,22 @@ Every gap between two colored sites is filled along the Cartesian tree of
 its arrival times (Vuillemin 1980).  `_splits` walks the trees of all gaps
 in a window together, one tree level at a time, with numpy arrays of gap
 endpoints; `first(lo, hi)` names each gap's first arrival (painting draws
-its geometric split, lehmer and ffiid read the arrival order that
-`_arrival` computes for every block at once).  Gaps with one interior site
-skip `first` and are filled in one last pass.  `_fill` colors each level's
-sites uniformly among the q - 2 colors differing from their two nearest
-earlier arrivals, from one pick per site hashed before the walk.  The
-draws are keyed by what they decide, never by when they are made, so the
-level-by-level walk gives the same output as a site-by-site one.  These
-keys are part of the stable seed interface:
+its geometric split; in a code field it is the gap's leftmost least entry,
+which `_leftmost_least` finds from the entries alone).  Gaps with one
+interior site skip `first` and are filled in one last pass.  `_fill`
+colors each level's sites uniformly among the q - 2 colors differing from
+their two nearest earlier arrivals, from one pick per site hashed before
+the walk.  The draws are keyed by what they decide, never by when they are
+made, so the level-by-level walk gives the same output as a site-by-site
+one.  These keys are part of the stable seed interface:
 
   * painting: the split site of gap (a, b) from u01(seed, a, b,
     S_PAINT_SPLIT), the color of a site from u01(seed, site, S_PAINT_COLOR);
   * lehmer: the color of a bubble site from u01(seed, site, S_BUBBLE);
   * ffiid: the color of a bubble site from u01_from_word(word, rank), where
     word = mix(seed, a, S_FFIID_U) for the block's left zero a and rank is
-    the site's place in the block's arrival order (the endpoints have
-    ranks 0 and 1).
+    the site's place in the block's arrival order, which `_arrival`
+    computes for every block at once (the endpoints have ranks 0 and 1).
 """
 
 from __future__ import annotations
@@ -82,12 +82,15 @@ S_FFIID_TAIL = 14
 #: geometric so hitting this indicates a parameter or implementation fault.
 EXTENSION_CAP = 10**6
 
-#: Hard cap on the arrival work of one code window, the sum over its blocks
-#: of (interior sites)^2, which _arrival's per-cycle loop takes in element
-#: steps (some 7 ns each on a 2-core Xeon, so about seven seconds at the
-#: cap).  At the tuned parameters a window does about one step per site; a
-#: t override near 1 puts a short window inside one block of 10^5 sites or
-#: more, and hitting this indicates such degenerate parameters.
+#: Hard cap on the tree work of one code window, the sum over its blocks
+#: of (interior sites)^2.  It bounds both _arrival's per-cycle loop (ffiid's
+#: rank keys; some 7 ns an element step on a 2-core Xeon, so about seven
+#: seconds at the cap) and the level-by-level walk of a block's Cartesian
+#: tree, which is as deep as the block in the worst case; _block_sizes
+#: checks it for every code-field walk.  At the tuned parameters a window
+#: does about one step per site; a t override near 1 puts a short window
+#: inside one block of 10^5 sites or more, and hitting this indicates such
+#: degenerate parameters.
 ARRIVAL_WORK_CAP = 10**9
 
 #: Largest q the samplers accept: colors are stored as uint8.
@@ -290,9 +293,52 @@ def _split_offsets(u: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
     return m
 
 
+def _block_sizes(zeros: np.ndarray) -> np.ndarray:
+    """Interior sizes g of the blocks between consecutive `zeros` of a code
+    field.  Raises when the work of walking them, the sum of g^2, passes
+    ARRIVAL_WORK_CAP."""
+    g = zeros[1:] - zeros[:-1]
+    g -= 1
+    if int(g @ g) > ARRIVAL_WORK_CAP:
+        raise RuntimeError("arrival work exceeded cap; parameters degenerate")
+    return g
+
+
+def _leftmost_least(entries: np.ndarray, zeros: np.ndarray):
+    """first(lo, hi) for the gaps inside the blocks between consecutive
+    `zeros` of a code field, whose entries may exceed the in-block bounds:
+    the interior site with the least entry, the leftmost of those.
+
+    That site arrives first.  The first arrival m of a gap has an entry
+    that counts only arrivals at or past the gap's right end; every site
+    left of m also counts m, and every site right of m counts at least
+    what m counts.  Each site's key is its entry above its index, b bits
+    for the indices, so one minimum per gap finds it: int32 while the
+    largest entry fits, int64 otherwise.  Raises as _block_sizes does, and
+    when an entry is too large for an int64 key.
+    """
+    _block_sizes(zeros)
+    n = len(entries)
+    b = n.bit_length()
+    top = int(entries.max())
+    if top >= 1 << (63 - b):
+        raise RuntimeError("code entry exceeded key width; parameters degenerate")
+    dtype = np.int32 if top < 1 << (31 - b) else np.int64
+    key = entries.astype(dtype)
+    key <<= b
+    key |= np.arange(n, dtype=dtype)
+    index = (1 << b) - 1
+
+    def first(lo, hi):
+        bounds = np.array((lo + 1, hi)).T.ravel()[:-1]
+        return np.minimum.reduceat(key[:int(hi[-1])], bounds)[::2] & index
+    return first
+
+
 def _arrival(entries: np.ndarray, zeros: np.ndarray):
     """Arrival order in every block between consecutive `zeros` of a code
-    field, whose entries may exceed the in-block bounds.
+    field, whose entries may exceed the in-block bounds.  It serves ffiid,
+    whose bubble draws are keyed by a site's rank in its block's order.
 
     The arrival times of a block a..b are decrement_cycle_values of
     entries[a..b] (a and b come first).  A block with one interior site
@@ -306,12 +352,10 @@ def _arrival(entries: np.ndarray, zeros: np.ndarray):
     arrival order, and the blocks' left zeros and interior sizes; the
     multi-site blocks come first, longest first, then the one-site blocks
     left to right, so g is non-increasing.  order is int32.  Raises before
-    the loop when its work, the sum of g^2, passes ARRIVAL_WORK_CAP.
+    the loop when its work, the sum of g^2, passes ARRIVAL_WORK_CAP
+    (_block_sizes).
     """
-    g = zeros[1:] - zeros[:-1]
-    g -= 1
-    if int(g @ g) > ARRIVAL_WORK_CAP:
-        raise RuntimeError("arrival work exceeded cap; parameters degenerate")
+    g = _block_sizes(zeros)
     multi = (g > 1).nonzero()[0]
     multi = multi[np.argsort(-g[multi])]
     single = (g == 1).nonzero()[0]
@@ -369,18 +413,6 @@ def _arrival(entries: np.ndarray, zeros: np.ndarray):
     return order, za, g
 
 
-def _earliest(order: np.ndarray, n: int):
-    """first(lo, hi) for gaps inside the blocks of a code field of n sites,
-    `order` as _arrival returns it: the interior site arriving first."""
-    key = np.zeros(n, dtype=np.int32)
-    key[order] = np.arange(len(order), dtype=np.int32)
-
-    def first(lo, hi):
-        bounds = np.array((lo + 1, hi)).T.ravel()[:-1]
-        return order[np.minimum.reduceat(key[:int(hi[-1])], bounds)[::2]]
-    return first
-
-
 # ---------------------------------------------------------------------------
 # Constraint graphs from code fields
 
@@ -391,12 +423,12 @@ def _bubble_arcs(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Interior entries may exceed the in-block code bounds; only the relative
     arrival order in each block matters.  The arcs are exactly the gaps the
-    Cartesian trees of those orders split.
+    Cartesian trees of those orders split, each gap at its leftmost least
+    entry (_leftmost_least).
     """
     zeros = (entries == 0).nonzero()[0]
-    order, _, _ = _arrival(entries, zeros)
     gaps = [(lo, hi) for _, lo, hi in
-            _splits(zeros[:-1], zeros[1:], _earliest(order, len(entries)))]
+            _splits(zeros[:-1], zeros[1:], _leftmost_least(entries, zeros))]
     return (np.concatenate([lo for lo, _ in gaps]),
             np.concatenate([hi for _, hi in gaps]))
 
@@ -605,9 +637,8 @@ def lehmer_pipeline_detail(q: int, k: int, length: int, seed: int,
     colors, zeros = _anchored_colors(seed, q, left, keys, zero, S_BUBBLE,
                                      S_WALK_FIRST, S_WALK_STEP)
     del keys, zero
-    order, _, _ = _arrival(entries, zeros)
     _fill(colors, _splits(zeros[:-1], zeros[1:],
-                          _earliest(order, len(entries))))
+                          _leftmost_least(entries, zeros)))
 
     window = slice(-left, -left + length)
     sample = ColoringSample(0, colors[window], SampleParams(q, k, tv, s),
@@ -685,7 +716,7 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     words = mix_keys(seed, za + left, S_FFIID_U)
     rank = np.arange(len(order)) - np.repeat(np.cumsum(g) - g, g) + 2
     colors[order] = _picks(u01_from_words(np.repeat(words, g), rank), q)
-    del words, rank, za, g
+    del order, words, rank, za, g
 
     # Walk left through the zero set from the window's left anchor to the
     # nearest zero site whose first candidate color escapes its
@@ -735,8 +766,7 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     colors[zeros] = np.where(flip[j0:], z2[j0:], z1[j0:])
     del z1, z2, flip, escape
     _fill(colors, _splits(zeros[:-1], zeros[1:],
-                          _earliest(order, len(entries))))
-    del order
+                          _leftmost_least(entries, zeros)))
 
     # Radii, block by block: the block of zero a runs up to the next zero
     # b, and a's reset site is R.  At a the radius is a - R; at each site i

@@ -186,11 +186,10 @@ def _single_bubble_graphs():
 def _run_fill(entries, colors):
     """The pipelines' bubble-fill kernel on one code field, in place:
     colors holds the zeros' colors and the other sites' picks."""
-    from mallows_coloring.sampler import _arrival, _earliest, _fill, _splits
+    from mallows_coloring.sampler import _fill, _leftmost_least, _splits
     zeros = (entries == 0).nonzero()[0]
-    order, _, _ = _arrival(entries, zeros)
     _fill(colors, _splits(zeros[:-1], zeros[1:],
-                          _earliest(order, len(entries))))
+                          _leftmost_least(entries, zeros)))
 
 
 class TestArrivalPeeling:
@@ -199,7 +198,7 @@ class TestArrivalPeeling:
         # the single-bubble graphs on 2..7 sites; on each, the pipelines'
         # level-by-level walk visits each interior site exactly once, and
         # its gaps and splits reproduce the graph's arcs
-        from mallows_coloring.sampler import _arrival, _earliest, _splits
+        from mallows_coloring.sampler import _leftmost_least, _splits
         graph_of = _single_bubble_graphs()
         assert len(graph_of) == 154 and len(set(graph_of.values())) == 65
         for n in range(2, 8):
@@ -211,9 +210,9 @@ class TestArrivalPeeling:
                 decode_lehmer(LehmerSeq(0, code, "lehmer")))
             entries = np.array(code, dtype=np.int64)
             zeros = (entries == 0).nonzero()[0]
-            order, _, _ = _arrival(entries, zeros)
             splits = [(v, lo, hi) for level in _splits(
-                          zeros[:-1], zeros[1:], _earliest(order, len(code)))
+                          zeros[:-1], zeros[1:],
+                          _leftmost_least(entries, zeros))
                       for v, lo, hi in zip(*(a.tolist() for a in level))]
             assert sorted(v for v, _, _ in splits) == list(
                 range(1, len(code) - 1)), code
@@ -300,6 +299,54 @@ class TestUniformColoring:
             assert len(set(got)) == len(got), q
             assert set(got) == _proper(g, q), q
             assert len(got) == color_counts_brute([(g, q)])[0]
+
+
+def _decrement_tree_levels(field):
+    """Levels of the Cartesian trees of every block of a code field, by the
+    decrement oracle's arrival times and recursion: [(v, lo, hi), ...] per
+    level of gaps with two or more interior sites, in site order, then all
+    one-site gaps by depth and site, as _splits yields them."""
+    from mallows_coloring.perm import decrement_cycle_values
+    zeros = [i for i, e in enumerate(field) if e == 0]
+    arrival = {}
+    for a, b in zip(zeros, zeros[1:]):
+        arrival.update(zip(range(a, b + 1),
+                           decrement_cycle_values(field[a:b + 1], a, "lehmer")))
+    wide, leaves = defaultdict(list), []
+
+    def tree(a, b, depth):
+        if b - a == 2:
+            leaves.append((depth, a + 1, a, b))
+        elif b - a > 2:
+            v = min(range(a + 1, b), key=arrival.__getitem__)
+            wide[depth].append((v, a, b))
+            tree(a, v, depth + 1)
+            tree(v, b, depth + 1)
+    for a, b in zip(zeros, zeros[1:]):
+        tree(a, b, 0)
+    return [sorted(wide[d], key=lambda s: s[1]) for d in range(len(wide))] + [
+        [s[1:] for s in sorted(leaves)]]
+
+
+def _leftmost_least_levels(field):
+    """(levels, dtype): _splits' levels over a code field, each gap split
+    at its leftmost least entry, as lists of (v, lo, hi), and the dtype of
+    the sites `first` returns, which is its key's (None if no gap needed
+    `first`)."""
+    from mallows_coloring.sampler import _leftmost_least, _splits
+    entries = np.array(field, dtype=np.int64)
+    zeros = np.flatnonzero(entries == 0)
+    first = _leftmost_least(entries, zeros)
+    dtypes = set()
+
+    def traced(lo, hi):
+        v = first(lo, hi)
+        dtypes.add(v.dtype)
+        return v
+    levels = [list(zip(*(x.tolist() for x in level)))
+              for level in _splits(zeros[:-1], zeros[1:], traced)]
+    assert len(dtypes) <= 1
+    return levels, next(iter(dtypes), None)
 
 
 class TestArrayKernel:
@@ -430,11 +477,11 @@ class TestArrayKernel:
         assert grown > 30
 
     def test_splits_over_many_gaps(self):
-        # random code fields with blocks of widths 1, 2 and wide ones, walked
-        # through their arrival orders: every level matches a recursive
-        # per-gap Cartesian tree of the decrement oracle's arrival times
-        from mallows_coloring.perm import decrement_cycle_values
-        from mallows_coloring.sampler import _arrival, _earliest, _splits
+        # random code fields with blocks of widths 1, 2 and wide ones, each
+        # gap split at its leftmost least entry: every level matches a
+        # recursive per-gap Cartesian tree of the decrement oracle's
+        # arrival times
+        from mallows_coloring.sampler import _splits
         empty = np.zeros(0, dtype=np.int64)
         levels = list(_splits(empty, empty, None))
         assert len(levels) == 1 and all(len(a) == 0 for a in levels[0])
@@ -445,33 +492,60 @@ class TestArrayKernel:
                 g = int(rng.choice([0, 1, rng.geometric(0.15) + 1]))
                 field += [int(rng.integers(1, 2 * (g - off) + 3))
                           for off in range(g)] + [0]
-            entries = np.array(field, dtype=np.int64)
-            zeros = np.flatnonzero(entries == 0)
-            arrival = {}
-            for a, b in zip(zeros[:-1].tolist(), zeros[1:].tolist()):
-                values = decrement_cycle_values(field[a:b + 1], a, "lehmer")
-                arrival.update(zip(range(a, b + 1), values))
-            wide, leaves = defaultdict(list), []
-
-            def tree(a, b, depth):
-                if b - a == 2:
-                    leaves.append((depth, a + 1, a, b))
-                elif b - a > 2:
-                    v = min(range(a + 1, b), key=arrival.__getitem__)
-                    wide[depth].append((v, a, b))
-                    tree(a, v, depth + 1)
-                    tree(v, b, depth + 1)
-            for a, b in zip(zeros[:-1].tolist(), zeros[1:].tolist()):
-                tree(a, b, 0)
-            order, _, _ = _arrival(entries, zeros)
-            levels = [list(zip(*(x.tolist() for x in level))) for level in
-                      _splits(zeros[:-1], zeros[1:],
-                              _earliest(order, len(entries)))]
-            assert levels[:-1] == [sorted(wide[d], key=lambda s: s[1])
-                                   for d in range(len(wide))]
-            assert levels[-1] == [s[1:] for s in sorted(leaves)]
+            levels, _ = _leftmost_least_levels(field)
+            assert levels == _decrement_tree_levels(field)
             sites = [v for level in levels for v, _, _ in level]
-            assert sorted(sites) == np.flatnonzero(entries).tolist()
+            assert sorted(sites) == np.flatnonzero(field).tolist()
+
+    def test_leftmost_least_entry_arrives_first(self):
+        # the lemma lehmer and gamma_from_lehmer stand on: in every gap of
+        # a block's Cartesian tree the first arrival is the leftmost least
+        # entry.  All 7,704 blocks of m = 1..5 interior sites with entry i
+        # in 1..m+4-i (two past m+2-i), then 4,000 random blocks of up to
+        # 40 interior sites with some entries near 2^40, which take the
+        # int64 key
+        blocks = [inner for m in range(1, 6)
+                  for inner in itertools.product(*(range(1, m + 5 - i)
+                                                   for i in range(1, m + 1)))]
+        assert len(blocks) == 7704
+        field = [0] + [x for inner in blocks for x in inner + (0,)]
+        levels, dtype = _leftmost_least_levels(field)
+        assert dtype == np.int32
+        assert levels == _decrement_tree_levels(field)
+        rng = np.random.default_rng(20)
+        field = [0]
+        for _ in range(4000):
+            g = int(rng.integers(0, 41))
+            for off in range(1, g + 1):
+                field.append(int(rng.integers(1, 2 * (g + 1 - off) + 3)))
+                if rng.random() < 0.05:
+                    field[-1] += 2**40 - int(rng.integers(0, 3))
+            field.append(0)
+        levels, dtype = _leftmost_least_levels(field)
+        assert dtype == np.int64
+        assert levels == _decrement_tree_levels(field)
+
+    def test_key_width_follows_the_largest_entry(self):
+        # the keys pack each entry above b = n.bit_length() index bits: the
+        # largest entry that fits an int32 key keeps it, one past takes an
+        # int64 key, and an entry past the int64 key raises, never wraps
+        n = 13
+        b = n.bit_length()
+        for top, dtype in ((2**(31 - b) - 1, np.int32),
+                           (2**(31 - b), np.int64),
+                           (2**(63 - b) - 1, np.int64)):
+            field = [0, top, 1, top, 0, 2, top, top, 1, 0, top, 3, 0]
+            assert len(field) == n
+            levels, got = _leftmost_least_levels(field)
+            assert got == dtype, top
+            assert levels == _decrement_tree_levels(field), top
+            arcs = {(lo, hi) for level in levels for _, lo, hi in level}
+            arcs.update((i, i + 1) for i in range(n - 1))
+            assert gamma_from_lehmer(field, 0).arcs == arcs, top
+        for field in ([0, 2**61, 0], [0, 1, 2**63 - 1, 0],
+                      [0, 1, 0, 2**(63 - b), 2, 0, 0, 0, 0, 0, 0, 0, 0]):
+            with pytest.raises(RuntimeError, match="degenerate"):
+                gamma_from_lehmer(field, 0)
 
     @pytest.mark.parametrize("fn", [painting_sample, lehmer_pipeline_sample,
                                     ffiid_sample])
