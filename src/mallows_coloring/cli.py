@@ -409,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--maxlen", type=int, choices=range(1, 5), default=3)
     ps.add_argument("--threads", type=_positive_int, default=1,
                     help="shards, at most --windows; at most "
-                         "os.cpu_count() run at once")
+                         "os.cpu_count() run at once; shard s draws from "
+                         "seed + 7919*s, so the report depends on --threads")
     ps.set_defaults(fn=_cmd_verify_stat)
 
     p = sub.add_parser("radius", help="coding-radius diagnostics (ffiid)")

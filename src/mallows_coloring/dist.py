@@ -9,8 +9,8 @@ index i:
     END_WEIGHTED             P(j) = u^[j in {0,i}] t^j / (u + t + ... + u t^i)
     ZERO_WEIGHTED_INFINITE   P(j) = u^[j=0] t^j / (u + t/(1-t)),  j >= 0
 
-Exact rational mass functions back the identity checks; samplers run in
-floating point off precomputed inverse-CDF tables.
+Mass functions and distribution functions are exact rationals; they back
+the identity checks and the dominance certificate.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import enum
 import itertools
 import math
 from fractions import Fraction
-
-import numpy as np
 
 
 class GeomVariant(enum.Enum):
@@ -40,8 +38,8 @@ _FINITE = (GeomVariant.TRUNCATED, GeomVariant.ZERO_WEIGHTED,
 class GeomSpec:
     """Parameter bundle for one geometric variant.
 
-    t and u may be Fraction (exact mode) or float (sampling mode); trunc is
-    ignored by the infinite variant, which requires t < 1 to normalize.
+    t and u are Fractions, or floats read as the rationals they are; trunc
+    is ignored by the infinite variant, which requires t < 1 to normalize.
     """
 
     variant: GeomVariant
@@ -115,41 +113,6 @@ def cdf(spec: GeomSpec, j: int) -> Fraction:
     # u + t + ... + t^j over the full mass
     partial = u + (t * (1 - t**j) / (1 - t) if t else 0)
     return partial / denom
-
-
-_tables: dict[tuple, np.ndarray] = {}
-
-
-def _prefix_table(spec: GeomSpec) -> np.ndarray:
-    key = (spec.variant, float(spec.t), float(spec.u), spec.trunc)
-    table = _tables.get(key)
-    if table is None:
-        ws = np.array([float(w) for w in weights(spec)])
-        table = np.cumsum(ws) / ws.sum()
-        _tables[key] = table
-    return table
-
-
-def sample(spec: GeomSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` inverse-CDF draws as an int64 array; deterministic given the
-    generator state."""
-    if spec.variant in _FINITE:
-        table = _prefix_table(spec)
-        out = np.searchsorted(table, rng.random(size), side="right")
-    else:
-        t = float(spec.t)
-        u = float(spec.u)
-        p0 = u / (u + t / (1 - t)) if t else 1.0
-        us = rng.random(size)
-        out = np.zeros(size, dtype=np.int64)
-        tail = us >= p0
-        if t and tail.any():
-            # Conditional on being positive the law is 1 + geometric(t),
-            # independent of u.
-            rescaled = (us[tail] - p0) / (1 - p0)
-            out[tail] = 1 + np.floor(
-                np.log1p(-rescaled) / math.log(t)).astype(np.int64)
-    return out
 
 
 @dataclasses.dataclass(frozen=True)

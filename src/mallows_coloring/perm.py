@@ -55,9 +55,6 @@ class Perm:
     def from_one_line(cls, values: Iterable[int], start: int = 1) -> Perm:
         return cls(start, tuple(values))
 
-    def __len__(self) -> int:
-        return len(self.image)
-
     @property
     def end(self) -> int:
         return self.start + len(self.image) - 1
@@ -116,9 +113,6 @@ class LehmerSeq:
                     f"{self.kind} entry {e} at index {self.start + off} "
                     f"violates bound {bound}")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclasses.dataclass(frozen=True)
 class ConstraintGraph:
@@ -143,14 +137,6 @@ class ConstraintGraph:
         for i in range(self.start, end):
             if (i, i + 1) not in self.arcs:
                 raise ValueError(f"missing consecutive arc ({i},{i + 1})")
-
-    @property
-    def end(self) -> int:
-        return self.start + self.n - 1
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.start, self.end)
 
     def bubble_endpoints(self) -> list[int]:
         """Vertices not strictly covered by any arc, in increasing order."""

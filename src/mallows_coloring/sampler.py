@@ -54,7 +54,6 @@ import math
 
 import numpy as np
 
-from . import dist
 # decrement_cycle_values, mix and u01_from_word are the scalar forms of what
 # _arrival and the ffiid draws compute; they stay importable from here.
 from .perm import ConstraintGraph, decrement_cycle_values  # noqa: F401
@@ -178,39 +177,6 @@ def _resolve(q: int, k: int, t_override: float | None) -> tuple[float, float]:
     if not 0 < t < 1:
         raise ValueError("t must lie in (0, 1)")
     return _with_gap_density(q, t)
-
-
-# ---------------------------------------------------------------------------
-# The code entry at the origin
-
-
-def lehmer_marginal_at_origin(n: int, t: float, u: float,
-                              rng: np.random.Generator,
-                              draws: int) -> np.ndarray:
-    """Samples of the Lehmer-code entry at 0 for bubble-biased Mallows
-    permutations of [-n, n].
-
-    As the interval grows this marginal converges to the zero-weighted
-    geometric law with weight u at zero.  Each draw is an insertion code,
-    read as decode_insertion reads it: walking the arrival times backwards,
-    the position arriving at each has `e` of the positions not yet removed
-    to its right.  With r of those right of the origin (n at first), e < r
-    removes one of them and e == r the origin itself; the r positions right
-    of it arrive earlier, so its Lehmer entry is that e.
-    """
-    size = 2 * n + 1
-    entries = np.empty((size, draws), dtype=np.int64)
-    for off in range(size):
-        spec = dist.GeomSpec(dist.GeomVariant.END_WEIGHTED, t, u, trunc=off)
-        entries[off] = dist.sample(spec, rng, size=draws)
-    out = np.empty(draws, dtype=np.int64)
-    r = np.full(draws, n, dtype=np.int64)
-    for e in entries[::-1]:
-        origin = e == r
-        out[origin] = e[origin]
-        r -= e < r
-        r[origin] = -1  # past the origin: no entry matches or falls below
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> int | Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __add__(self, other) -> RatPoly:
         other = _coerce(other)
         return RatPoly(tuple(a + b for a, b in itertools.zip_longest(
@@ -96,9 +93,6 @@ class RatPoly:
         other = _coerce(other)
         return RatPoly(tuple(a - b for a, b in itertools.zip_longest(
             self.coeffs, other.coeffs, fillvalue=0)))
-
-    def __rsub__(self, other) -> RatPoly:
-        return _coerce(other) - self
 
     def __neg__(self) -> RatPoly:
         return RatPoly(tuple(-c for c in self.coeffs))
@@ -166,9 +160,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.evaluate(x)
-
     def sign_at(self, x) -> int:
         """Sign (-1, 0 or 1) of the value at a rational point, read from an
         integer sum without building a Fraction."""
@@ -186,24 +177,6 @@ class RatPoly:
             acc = acc * a + c * bpow
             bpow *= b
         return (acc > 0) - (acc < 0)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if i > 0 and abs(c) == 1:
-                body = term
-            elif i == 0:
-                body = str(abs(c))
-            else:
-                body = f"{abs(c)}*{term}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def _coerce(x) -> RatPoly:

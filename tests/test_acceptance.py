@@ -18,13 +18,13 @@ from mallows_coloring.building import cylinder_masses
 from mallows_coloring.certify import PAIRS
 from mallows_coloring.perm import (Perm, all_perms, founders, insertion_code,
                                    is_proper_building, lehmer_code)
-from mallows_coloring.sampler import (lehmer_marginal_at_origin,
-                                      painting_sample, tuned_parameters)
+from mallows_coloring.sampler import painting_sample, tuned_parameters
 from mallows_coloring.tpoly import solve_tuning
 from mallows_coloring.verify import (chi_square_against_exact,
                                      estimate_cylinders, independence_defect,
                                      tail_fit)
 from mallows_coloring.words import Word
+from oracles import origin_entry_law
 
 
 def announce(criterion, message):
@@ -187,25 +187,25 @@ def test_criterion_11_distribution_lemmas():
     # stochastic dominance of truncated geometrics, n0 = 1.222: the n0
     # and checked-range cases, then n = 2..50
     assert full(certify.geometric_domination).cases == 2 + 49
-    # limiting law of the code entry at the origin, interval [-50, 50]
-    q = 5
-    tv, _ = tuned_parameters(q, 1)
-    uv = (q - 1) / (q - 2)
-    values = lehmer_marginal_at_origin(50, tv, uv, np.random.default_rng(5005),
-                                       100_000)
-    limit = dist.GeomSpec(dist.GeomVariant.ZERO_WEIGHTED_INFINITE,
-                          Fraction(tv), Fraction(uv))
-    cap = 9
-    probs = {j: float(dist.pmf(limit, j)) for j in range(cap)}
-    probs[cap] = 1 - sum(probs.values())
-    counts = Counter(int(min(v, cap)) for v in values)
-    stat = sum((counts.get(j, 0) - 100_000 * p) ** 2 / (100_000 * p)
-               for j, p in probs.items())
-    from scipy import stats as sps
-    assert sps.chi2.sf(stat, len(probs) - 1) > 1e-3
+    # limiting law of the code entry at the origin, interval [-20, 20], at
+    # a rational within 1e-7 of the tuned t(5,1): exact, the law dominates
+    # the limit's pmf at every j <= 20, so its total-variation distance to
+    # the limit is the limit's mass above 20, (1 - p0) t^20
+    q, n = 5, 20
+    tv, uv = Fraction(2584, 6765), Fraction(q - 1, q - 2)
+    assert abs(tv - Fraction(tuned_parameters(q, 1)[0])) < 1e-7
+    law = origin_entry_law(n, tv, uv)
+    limit = dist.GeomSpec(dist.GeomVariant.ZERO_WEIGHTED_INFINITE, tv, uv)
+    tail = 1 - dist.cdf(limit, n)
+    assert sum(law) == 1
+    assert tail == (1 - dist.pmf(limit, 0)) * tv ** n
+    gaps = sum(abs(p - dist.pmf(limit, j)) for j, p in enumerate(law))
+    assert (gaps + tail) / 2 == tail
     announce(11, "conditional code-entry law exact on [0,5]; CDF dominance "
-                 "verified for n in [2,50]; origin code entry at n=50 matches "
-                 "the limiting zero-weighted geometric law")
+                 "verified for n in [2,50]; origin code entry on [-20,20] at "
+                 "t=2584/6765 lies at exact total variation "
+                 f"(1-p0)t^20 = {float(tail):.3g} from the limiting "
+                 "zero-weighted geometric law")
 
 
 def test_criterion_12_swap_lemmas():

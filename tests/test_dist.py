@@ -1,11 +1,9 @@
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mallows_coloring.dist import (DominanceReport, GeomSpec, GeomVariant, cdf,
-                                   dominance_check, pmf, sample, weights)
+                                   dominance_check, pmf, weights)
 
 F = Fraction
 
@@ -96,60 +94,6 @@ class TestCdf:
         for j in range(12):
             acc += pmf(spec, j)
             assert cdf(spec, j) == acc
-
-
-class TestSample:
-    def test_trunc_zero_always_zero(self):
-        rng = np.random.default_rng(0)
-        spec = GeomSpec(GeomVariant.END_WEIGHTED, 0.5, 2.0, trunc=0)
-        assert (sample(spec, rng, size=20) == 0).all()
-
-    def test_infinite_with_t_zero(self):
-        rng = np.random.default_rng(0)
-        spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, 0.0, 4 / 3)
-        assert (sample(spec, rng, size=20) == 0).all()
-
-    def test_deterministic_given_state(self):
-        spec = GeomSpec(GeomVariant.TRUNCATED, 0.4, trunc=5)
-        a = sample(spec, np.random.default_rng(42), size=100)
-        b = sample(spec, np.random.default_rng(42), size=100)
-        assert (a == b).all()
-
-    def test_empirical_matches_pmf(self):
-        # 1e5 draws against the exact law, 4 sigma per bin
-        spec = GeomSpec(GeomVariant.TRUNCATED, 0.4, trunc=5)
-        exact = [float(pmf(GeomSpec(GeomVariant.TRUNCATED, F(2, 5), trunc=5), j))
-                 for j in range(6)]
-        n = 100_000
-        draws = sample(spec, np.random.default_rng(7), size=n)
-        counts = np.bincount(draws, minlength=6)
-        for j in range(6):
-            sigma = math.sqrt(exact[j] * (1 - exact[j]) * n)
-            assert abs(counts[j] - n * exact[j]) < 4 * sigma
-
-    def test_empirical_infinite_variant(self):
-        t, u = 0.4, 4 / 3
-        spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, t, u)
-        exact_spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, F(2, 5), F(4, 3))
-        n = 100_000
-        draws = sample(spec, np.random.default_rng(9), size=n)
-        counts = np.bincount(draws, minlength=10)
-        for j in range(8):
-            p = float(pmf(exact_spec, j))
-            sigma = math.sqrt(p * (1 - p) * n)
-            assert abs(counts[j] - n * p) < 4 * sigma
-
-    @pytest.mark.parametrize("t,u", [(0.5, 1.0), (0.4, 4 / 3), (0.9, 0.25),
-                                     (0.05, 1.0)])
-    def test_infinite_variant_at_largest_uniform(self, t, u):
-        # the largest float below 1 must still give a finite tail draw
-        class Top:
-            def random(self, n):
-                return np.full(n, 1 - 2.0**-53)
-
-        spec = GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, t, u)
-        draw = sample(spec, Top(), size=1)
-        assert 1 <= draw[0] <= 1 + 53 / -math.log2(t)
 
 
 class TestDominance:

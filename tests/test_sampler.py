@@ -18,17 +18,12 @@ from mallows_coloring.perm import (LehmerSeq, all_perms, bubbles,
 from mallows_coloring.sampler import (ColoringSample, SampleParams,
                                       ffiid_detail, ffiid_sample,
                                       gamma_from_lehmer,
-                                      lehmer_marginal_at_origin,
                                       lehmer_pipeline_detail,
                                       lehmer_pipeline_sample, markov_states,
                                       painting_sample, tuned_parameters)
 from mallows_coloring.tpoly import NoSolutionError
 from mallows_coloring.words import Word
-
-
-def chi_square_counts(counts, probs, n):
-    stat = sum((counts.get(k, 0) - n * p) ** 2 / (n * p) for k, p in probs.items())
-    return float(stats.chi2.sf(stat, len(probs) - 1))
+from oracles import origin_entry_law
 
 
 def _pushforward(specs, decode):
@@ -558,6 +553,7 @@ class TestArrayKernel:
             for m in (1, 30, 399):
                 part = fn(5, 1, m, seed, t=t)
                 assert (part.colors == full.colors[:m]).all()
+                assert (part.endpoint_mask == full.endpoint_mask[:m]).all()
                 if full.radii is not None:
                     assert (part.radii == full.radii[:m]).all()
 
@@ -864,39 +860,36 @@ class TestMemory:
 
 
 class TestCodingConvergence:
-    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_origin_marginal_matches_insertion_decode(self, n):
-        # the same draws, each row decoded into its permutation, whose
-        # Lehmer entry at the origin counts the positions right of it that
-        # arrive earlier
-        t, u, draws = 0.6, 4 / 3, 400
-        got = lehmer_marginal_at_origin(n, t, u, np.random.default_rng(n),
-                                        draws)
-        rng = np.random.default_rng(n)
-        columns = [dist.sample(dist.GeomSpec(dist.GeomVariant.END_WEIGHTED,
-                                             t, u, trunc=off), rng, size=draws)
-                   for off in range(2 * n + 1)]
-        want = []
-        for row in zip(*(c.tolist() for c in columns)):
-            img = decode_insertion(LehmerSeq(-n, row, "insertion")).image
-            want.append(sum(v < img[n] for v in img[n + 1:]))
-        assert got.tolist() == want
-        assert len(set(want)) >= min(n + 1, 3)
+        # the backward walk over insertion-code entries against every
+        # permutation of [-n, n] weighted u^founders t^inv, read at the
+        # origin's Lehmer entry
+        t, u = Fraction(3, 5), Fraction(4, 3)
+        mass = [Fraction(0)] * (n + 1)
+        for sigma in all_perms(-n, 2 * n + 1):
+            weight = u ** len(founders(sigma)) * t ** sigma.inv_count()
+            mass[lehmer_code(sigma).entries[n]] += weight
+        total = sum(mass)
+        assert origin_entry_law(n, t, u) == [m / total for m in mass]
 
     def test_origin_marginal_matches_limit_law(self):
-        q = 5
-        t, _ = tuned_parameters(q, 1)
-        u = (q - 1) / (q - 2)
-        rng = np.random.default_rng(15)
-        draws = 30_000
-        values = lehmer_marginal_at_origin(20, t, u, rng, draws)
-        exact = dist.GeomSpec(dist.GeomVariant.ZERO_WEIGHTED_INFINITE,
-                              Fraction(t), Fraction(u))
-        cap = 8
-        probs = {j: float(dist.pmf(exact, j)) for j in range(cap)}
-        probs[cap] = 1 - sum(probs.values())
-        counts = Counter(int(min(v, cap)) for v in values)
-        assert chi_square_counts(counts, probs, draws) > 1e-3
+        # the law at [-n, n] dominates the limit's pmf at every j <= n, so
+        # its total-variation distance to the limit is exactly the limit's
+        # mass above n
+        for t, u in itertools.product(
+                (Fraction(2, 5), Fraction(2584, 6765), Fraction(3, 5),
+                 Fraction(1, 10)),
+                (Fraction(4, 3), Fraction(3, 2), Fraction(2))):
+            limit = dist.GeomSpec(dist.GeomVariant.ZERO_WEIGHTED_INFINITE,
+                                  t, u)
+            for n in range(12):
+                law = origin_entry_law(n, t, u)
+                assert sum(law) == 1
+                tail = 1 - dist.cdf(limit, n)
+                gaps = sum(abs(p - dist.pmf(limit, j))
+                           for j, p in enumerate(law))
+                assert (gaps + tail) / 2 == tail
 
 
 class TestMarkovStates:
