@@ -53,7 +53,8 @@ class GeomSpec:
         if self.t >= 1 and self.variant is GeomVariant.ZERO_WEIGHTED_INFINITE:
             raise ValueError("infinite variant needs t < 1")
         if self.t > 1:
-            raise ValueError("t must lie in [0, 1)")
+            raise ValueError("t must lie in [0, 1] for the finite variants, "
+                             "in [0, 1) for the infinite one")
         if not self.u > 0:
             raise ValueError("u must be positive")
         if self.trunc < 0:

@@ -27,9 +27,11 @@ the index array plus an integer take or put about 0.3 ms.
 Every gap between two colored sites is filled along the Cartesian tree of
 its arrival times (Vuillemin 1980).  `_splits` walks the trees of all gaps
 in a window together, one tree level at a time, with numpy arrays of gap
-endpoints; `first(lo, hi)` names each gap's first arrival (painting draws
-its geometric split; in a code field it is the gap's leftmost least entry,
-which `_leftmost_least` finds from the entries alone).  Gaps with one
+endpoints; `first(lo, hi)` names each gap's first arrival.  Painting draws
+its geometric split.  In a code field the first arrival is the gap's
+leftmost least entry, which `_leftmost_least` finds from the entries alone
+for lehmer; ffiid orders its blocks anyway for its draw keys (`_arrival`),
+so it takes the first arrival from that one ordering.  Gaps with one
 interior site skip `first` and are filled in one last pass.  `_fill`
 colors each level's sites uniformly among the q - 2 colors differing from
 their two nearest earlier arrivals, from one pick per site hashed before
@@ -44,6 +46,8 @@ one.  These keys are part of the stable seed interface:
     word = mix(seed, a, S_FFIID_U) for the block's left zero a and rank is
     the site's place in the block's arrival order, which `_arrival`
     computes for every block at once (the endpoints have ranks 0 and 1).
+    The words are taken from the zeros' site keys, mix(seed, a), with one
+    more finalize each (`mix_next`).
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ import numpy as np
 # decrement_cycle_values, mix and u01_from_word are the scalar forms of what
 # _arrival and the ffiid draws compute; they stay importable from here.
 from .perm import ConstraintGraph, decrement_cycle_values  # noqa: F401
-from .streams import (mix, mix_keys, u01, u01_array, u01_from_word,  # noqa: F401
-                      u01_from_words, u01_keys, u01_next)
+from .streams import (mix, mix_keys, mix_next, u01, u01_array,  # noqa: F401
+                      u01_from_word, u01_from_words, u01_keys, u01_next)
 from .tpoly import solve_tuning
 
 # Stream identifiers; part of the stable seed-splitting interface.
@@ -83,13 +87,14 @@ EXTENSION_CAP = 10**6
 
 #: Hard cap on the tree work of one code window, the sum over its blocks
 #: of (interior sites)^2.  It bounds both _arrival's per-cycle loop (ffiid's
-#: rank keys; some 7 ns an element step on a 2-core Xeon, so about seven
-#: seconds at the cap) and the level-by-level walk of a block's Cartesian
-#: tree, which is as deep as the block in the worst case; _block_sizes
-#: checks it for every code-field walk.  At the tuned parameters a window
-#: does about one step per site; a t override near 1 puts a short window
-#: inside one block of 10^5 sites or more, and hitting this indicates such
-#: degenerate parameters.
+#: one ordering of its blocks; some 3 ns an element step on a 2-core Xeon,
+#: so about three seconds at the cap) and the level-by-level walk of a
+#: block's Cartesian tree, which is as deep as the block in the worst case.
+#: _block_sizes checks it once per code-field walk: in _arrival for ffiid,
+#: in _leftmost_least for lehmer and _bubble_arcs.  At the tuned parameters
+#: a window does about one step per site; a t override near 1 puts a short
+#: window inside one block of 10^5 sites or more, and hitting this
+#: indicates such degenerate parameters.
 ARRIVAL_WORK_CAP = 10**9
 
 #: Largest q the samplers accept: colors are stored as uint8.
@@ -190,9 +195,12 @@ def _splits(lo: np.ndarray, hi: np.ndarray, first):
     Yields arrays (v, lo, hi), v[j] strictly inside the gap with nearest
     earlier arrivals lo[j] and hi[j]; first(lo, hi) names the first arrival
     strictly inside each gap of a level.  Gaps with one interior site skip
-    `first` and are yielded last, all at once.
+    `first` and are yielded last, all at once.  Each site is yielded once,
+    so raises once the levels yield more sites than the gaps span: a site
+    outside its gap never shrinks the gap, and the walk would not end.
     """
     leaves = [lo[:0]]
+    budget = int(hi[-1] - lo[0]) if len(lo) else 0
     while len(lo):
         width = hi - lo
         leaves.append(lo[(width == 2).nonzero()[0]])
@@ -201,6 +209,9 @@ def _splits(lo: np.ndarray, hi: np.ndarray, first):
         if not len(lo):
             break
         v = first(lo, hi)
+        budget -= len(v)
+        if budget < 0:
+            raise RuntimeError("first(lo, hi) named a site outside its gap")
         yield v, lo, hi
         lo, hi = np.array((lo, v)).T.ravel(), np.array((v, hi)).T.ravel()
     leaf = np.concatenate(leaves)
@@ -270,6 +281,13 @@ def _block_sizes(zeros: np.ndarray) -> np.ndarray:
     return g
 
 
+def _gap_minima(key: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The least key strictly inside each of the disjoint, increasing gaps
+    (lo[j], hi[j]), each holding at least one site."""
+    bounds = np.array((lo + 1, hi)).T.ravel()[:-1]
+    return np.minimum.reduceat(key[:int(hi[-1])], bounds)[::2]
+
+
 def _leftmost_least(entries: np.ndarray, zeros: np.ndarray):
     """first(lo, hi) for the gaps inside the blocks between consecutive
     `zeros` of a code field, whose entries may exceed the in-block bounds:
@@ -294,17 +312,15 @@ def _leftmost_least(entries: np.ndarray, zeros: np.ndarray):
     key <<= b
     key |= np.arange(n, dtype=dtype)
     index = (1 << b) - 1
-
-    def first(lo, hi):
-        bounds = np.array((lo + 1, hi)).T.ravel()[:-1]
-        return np.minimum.reduceat(key[:int(hi[-1])], bounds)[::2] & index
-    return first
+    return lambda lo, hi: _gap_minima(key, lo, hi) & index
 
 
 def _arrival(entries: np.ndarray, zeros: np.ndarray):
     """Arrival order in every block between consecutive `zeros` of a code
-    field, whose entries may exceed the in-block bounds.  It serves ffiid,
-    whose bubble draws are keyed by a site's rank in its block's order.
+    field, whose entries may exceed the in-block bounds.  It is ffiid's one
+    ordering of its blocks: its bubble draws are keyed by a site's rank in
+    its block's order, and its Cartesian-tree walk splits each gap at the
+    gap's first arrival.
 
     The arrival times of a block a..b are decrement_cycle_values of
     entries[a..b] (a and b come first).  A block with one interior site
@@ -314,69 +330,81 @@ def _arrival(entries: np.ndarray, zeros: np.ndarray):
     shrinks; one stable sort then orders each block.  So the cost follows
     the sites of multi-site blocks, not the window.
 
-    Returns (order, za, g): the interior sites block by block, each in
-    arrival order, and the blocks' left zeros and interior sizes; the
-    multi-site blocks come first, longest first, then the one-site blocks
-    left to right, so g is non-increasing.  order is int32.  Raises before
-    the loop when its work, the sum of g^2, passes ARRIVAL_WORK_CAP
-    (_block_sizes).
+    Returns (first, order, blk, rank).  order holds the interior sites
+    block by block, each in arrival order: the multi-site blocks first,
+    longest first, then the one-site blocks left to right.  For each entry
+    of order, blk is the index in `zeros` of its block's left zero, and
+    rank its place in its block's arrival order, from 2 (the endpoints
+    have ranks 0 and 1).  first(lo, hi) serves _splits: the interior site
+    of each gap arriving first, whose place in order is the least in the
+    gap, found by one minimum per gap over the sites' int32 places.  order
+    is int32.  Raises before the loop when its work, the sum of g^2 over
+    the blocks' interior sizes g, passes ARRIVAL_WORK_CAP (_block_sizes).
     """
     g = _block_sizes(zeros)
     multi = (g > 1).nonzero()[0]
     multi = multi[np.argsort(-g[multi])]
+    gm = g[multi]
     single = (g == 1).nonzero()[0]
-    za = np.concatenate((zeros[multi], zeros[single]))
-    g = np.concatenate((g[multi], g[single]))
-    zm, gm = za[:len(multi)], g[:len(multi)]
-    ends = np.cumsum(gm)
-    sites = int(ends[-1]) if len(gm) else 0
-    order = np.empty(sites + len(single), dtype=np.int32)
-    order[sites:] = za[len(multi):]
-    order[sites:] += 1
-    # Site arrays are int32 but for w, which large entries push far down.
-    # w = b - (value) for the block's right zero b, at first b - site; the
-    # cycle at b - d moves the values of (b - d, b - d + e] down by one and
-    # b - d up to b - d + e.  at holds b - d; the active prefix only
-    # shrinks, so one decrement per step keeps it.
-    at = np.repeat((zm + gm).astype(np.int32), gm)
-    w = np.repeat(ends, gm)
-    w -= np.arange(sites, dtype=np.int32)
-    longest = int(gm[0]) if len(gm) else 0
-    steps = np.arange(1, longest + 1)
-    active = ends[np.searchsorted(-gm, -steps, side="right") - 1]
-    for d, m in zip(steps.tolist(), active.tolist()):
-        ww = w[:m]
+    del g
+    blk = np.concatenate((np.repeat(multi, gm), single))
+    sites = len(blk) - len(single)
+    del multi, single
+    order = np.add(zeros.take(blk), 1, dtype=np.int32)
+    rank = np.full(len(blk), 2)
+    if sites:
+        _order_blocks(entries, order[:sites], rank[:sites], gm)
+    place = np.zeros(len(entries), dtype=np.int32)
+    place[order] = np.arange(len(order), dtype=np.int32)
+    return (lambda lo, hi: order[_gap_minima(place, lo, hi)]), order, blk, rank
+
+
+def _order_blocks(entries: np.ndarray, head: np.ndarray, rank: np.ndarray,
+                  gm: np.ndarray) -> None:
+    """_arrival's multi-site blocks, of interior sizes gm (non-increasing),
+    laid out one after another in `head`, which holds each block's left
+    zero plus one: sorts each block of `head` into arrival order and adds
+    each position's offset in its block to `rank`, in place."""
+    # Values relative to the cycle: y = value - c - 1 before the cycle at
+    # c = b - d, for the block's right zero b and d = 1, 2, ..., so at
+    # first y = site - b.  That cycle moves the values in (c, c + e],
+    # e = entries[c], down by one and the value c up to c + e: y stays for
+    # the moved values (0 <= y < e, compared unsigned), becomes e at the
+    # value c (y = -1) and grows by one elsewhere.  at holds c; the active
+    # prefix, the sites of the blocks of d or more sites, only shrinks, so
+    # one decrement per step keeps it.  y is int64, as large entries push
+    # it far up; at is int32.
+    y = np.arange(len(head), dtype=np.int64)
+    y -= np.repeat(np.cumsum(gm), gm)
+    off = np.repeat(gm, gm)
+    off += y
+    head += off
+    rank += off
+    at = np.subtract(head, y, dtype=np.int32)
+    at -= 1
+    del off
+    yu = y.view(np.uint64)
+    active = np.bincount(gm, weights=gm)[:0:-1].cumsum()[::-1].astype(np.intp)
+    for m in active.tolist():
         low = entries.take(at[:m])
         at[:m] -= 1
-        np.subtract(d, low, out=low)
-        top = ww == d
-        moved = ww >= low
-        moved &= ww < d
-        ww += moved
-        np.copyto(ww, low, where=top)
-    del at
-    if not sites:
-        return order, za, g
-    # By block, then by value (w descending).  The keys are distinct and
-    # already grouped by block, which the stable sort exploits.  Each
-    # position stays in its block, so shifting it by its block's za + 1
-    # less the block's first position gives its site.
-    span = int(w.max()) - int(w.min()) + 1
+        yy = y[:m]
+        top = yy == -1
+        yy += yu[:m] >= low.view(np.uint64)
+        np.copyto(yy, low, where=top)
+    del at, yu, active, low, yy, top
+    # By block, then by value (y ascending).  The keys are distinct and
+    # already grouped by block, which the stable sort exploits; each
+    # position stays in its block.
+    y -= int(y.min())
+    span = int(y.max()) + 1
     if span * len(gm) < 2**31:
         key = np.repeat(np.arange(0, span * len(gm), span, dtype=np.int32), gm)
-        key -= w
-        del w
+        key += y
         within = np.argsort(key, kind="stable")
-        del key
     else:
-        blk = np.repeat(np.arange(len(gm)), gm)
-        within = np.lexsort((-w, blk))
-        del w, blk
-    head = order[:sites]
-    head[:] = within
-    del within
-    head += np.repeat((zm + 1 - (ends - gm)).astype(np.int32), gm)
-    return order, za, g
+        within = np.lexsort((y, np.repeat(np.arange(len(gm)), gm)))
+    head[:] = head.take(within)
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +699,21 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     zeros = zero.nonzero()[0]
     window = slice(-left, -left + length)
     is_zero = zero[window]
+    zkeys = keys.take(zeros)
     del keys, zero
 
     # The bubble picks come first, so that _arrival's temporaries never sit
     # on top of the lookback's arrays.  Uniforms are indexed by the block's
     # arrival order, not by the order in which _splits visits it: the rank
-    # is a draw key.
+    # is a draw key, and the block's word is its left zero's site key
+    # extended by S_FFIID_U.  `first` keeps the order and the sites' places
+    # in it for the tree walk, and frees them after _fill.
+    first, order, blk, rank = _arrival(entries, zeros)
     colors = np.empty(len(entries), dtype=np.uint8)
-    order, za, g = _arrival(entries, zeros)
-    words = mix_keys(seed, za + left, S_FFIID_U)
-    rank = np.arange(len(order)) - np.repeat(np.cumsum(g) - g, g) + 2
-    colors[order] = _picks(u01_from_words(np.repeat(words, g), rank), q)
-    del order, words, rank, za, g
+    words = mix_next(zkeys.take(blk), S_FFIID_U)
+    del zkeys, blk
+    colors[order] = _picks(u01_from_words(words, rank), q)
+    del order, words, rank
 
     # Walk left through the zero set from the window's left anchor to the
     # nearest zero site whose first candidate color escapes its
@@ -731,8 +762,8 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     i0, i1 = j0 + (left < 0), len(zs) - (int(zs[-1]) >= length)
     colors[zeros] = np.where(flip[j0:], z2[j0:], z1[j0:])
     del z1, z2, flip, escape
-    _fill(colors, _splits(zeros[:-1], zeros[1:],
-                          _leftmost_least(entries, zeros)))
+    _fill(colors, _splits(zeros[:-1], zeros[1:], first))
+    del first
 
     # Radii, block by block: the block of zero a runs up to the next zero
     # b, and a's reset site is R.  At a the radius is a - R; at each site i

@@ -95,10 +95,20 @@ def mix_keys(seed: int, first: np.ndarray, *words) -> np.ndarray:
     return out
 
 
+def mix_next(keys: np.ndarray, *words) -> np.ndarray:
+    """u01_next without the float step: the hashes of the keys `keys`
+    (from mix_keys) extended by one or more `words`, mix_next(mix_keys(seed,
+    w), s) == mix_keys(seed, w, s).  Leaves `keys` as it was."""
+    for w in words:
+        keys = _finalize_array(keys ^ _spread(w))
+    return keys
+
+
 def u01_next(keys: np.ndarray, *words) -> np.ndarray:
     """Uniforms of the keys `keys` (from mix_keys) extended by `words`:
     u01_next(mix_keys(seed, w), s) == u01_keys(seed, w, s).  Leaves `keys`
     as it was, so one array of site keys serves several streams."""
+    # mix_next's loop, inlined: the extra call showed on short windows
     for w in words:
         keys = _finalize_array(keys ^ _spread(w))
     return _u01_bits(keys)

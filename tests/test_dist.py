@@ -73,8 +73,14 @@ class TestPmf:
             pmf(spec, -1)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            GeomSpec(GeomVariant.TRUNCATED, F(3, 2))
+        # the finite variants take t in [0, 1], t = 1 giving the uniform
+        # law; the infinite one needs t < 1 to normalize
+        for variant in (GeomVariant.TRUNCATED, GeomVariant.ZERO_WEIGHTED,
+                        GeomVariant.MAX_WEIGHTED, GeomVariant.END_WEIGHTED):
+            spec = GeomSpec(variant, 1, trunc=3)
+            assert [pmf(spec, j) for j in range(4)] == [F(1, 4)] * 4
+            with pytest.raises(ValueError, match=r"\[0, 1\] for the finite"):
+                GeomSpec(variant, F(3, 2), trunc=3)
         with pytest.raises(ValueError):
             GeomSpec(GeomVariant.ZERO_WEIGHTED_INFINITE, 1.0)
         with pytest.raises(ValueError):

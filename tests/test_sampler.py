@@ -323,15 +323,22 @@ def _decrement_tree_levels(field):
         [s[1:] for s in sorted(leaves)]]
 
 
-def _leftmost_least_levels(field):
+def _arrival_first(entries, zeros):
+    """ffiid's first(lo, hi): the least place in _arrival's order."""
+    from mallows_coloring.sampler import _arrival
+    return _arrival(entries, zeros)[0]
+
+
+def _leftmost_least_levels(field, make_first=None):
     """(levels, dtype): _splits' levels over a code field, each gap split
-    at its leftmost least entry, as lists of (v, lo, hi), and the dtype of
-    the sites `first` returns, which is its key's (None if no gap needed
-    `first`)."""
+    at its leftmost least entry, or at the site first(lo, hi) names for
+    first = make_first(entries, zeros), as lists of (v, lo, hi), and the
+    dtype of the sites `first` returns, which is _leftmost_least's key's
+    (None if no gap needed `first`)."""
     from mallows_coloring.sampler import _leftmost_least, _splits
     entries = np.array(field, dtype=np.int64)
     zeros = np.flatnonzero(entries == 0)
-    first = _leftmost_least(entries, zeros)
+    first = (make_first or _leftmost_least)(entries, zeros)
     dtypes = set()
 
     def traced(lo, hi):
@@ -352,7 +359,9 @@ class TestArrayKernel:
         # some entries near 2^40, whose value range needs the wide sort.
         # Without it, also the layouts in which little or nothing needs
         # ordering: no interior sites, one-site blocks only, and one
-        # multi-site block among many one-site blocks
+        # multi-site block among many one-site blocks.  ffiid's split key,
+        # the least place in that order, gives the same trees, level by
+        # level, as the leftmost least entry
         from mallows_coloring.perm import decrement_cycle_values
         from mallows_coloring.sampler import _arrival
         rng = np.random.default_rng(40 + huge)
@@ -366,7 +375,13 @@ class TestArrayKernel:
                     field[-1] += 2**40 + int(rng.integers(0, 100))
             field.append(0)
         fields = [field]
-        if not huge:
+        if huge:
+            # every multi-site entry near 2^40, so that all the sort keys
+            # sit far from zero
+            fields += [[0, 2**40, 2**40 + 1, 0],
+                       [0, 2**40 + 7, 2**40 + 1, 2**40 + 3, 0, 2**40 + 2,
+                        2**40 + 9, 0, 5, 0]]
+        else:
             singles = [0] + [x for e in rng.integers(1, 4, size=200).tolist()
                              for x in (e, 0)]
             fields += [[0], [0] * 50, singles,
@@ -374,12 +389,19 @@ class TestArrayKernel:
         for field in fields:
             entries = np.array(field, dtype=np.int64)
             zeros = np.flatnonzero(entries == 0)
-            order, za, g = _arrival(entries, zeros)
+            first, order, blk, rank = _arrival(entries, zeros)
             assert order.dtype == np.int32
-            assert int(g.sum()) == len(entries) - len(zeros)
+            assert len(order) == len(blk) == len(rank)
+            assert len(order) == len(entries) - len(zeros)
+            # blk runs block by block, each block once, sizes non-increasing
+            heads = np.flatnonzero(np.diff(blk, prepend=-1))
+            g = np.diff(heads, append=len(blk))
+            assert len(set(blk[heads].tolist())) == len(heads)
             assert (np.diff(g) <= 0).all()
             pos = 0
-            for a, size in zip(za.tolist(), g.tolist()):
+            for j, size in zip(blk[heads].tolist(), g.tolist()):
+                a = int(zeros[j])
+                assert zeros[j + 1] == a + size + 1
                 values = decrement_cycle_values(field[a:a + size + 2], a,
                                                 "lehmer")
                 ranks = sorted(range(size + 2), key=values.__getitem__)
@@ -387,8 +409,12 @@ class TestArrayKernel:
                 assert ranks[:2] == [0, size + 1]
                 assert order[pos:pos + size].tolist() == [
                     a + r for r in ranks[2:]]
+                assert rank[pos:pos + size].tolist() == list(
+                    range(2, size + 2))
                 pos += size
             assert pos == len(order)
+            assert (_leftmost_least_levels(field, _arrival_first)[0]
+                    == _leftmost_least_levels(field)[0])
 
     @pytest.mark.parametrize("q,k", [(5, 1), (3, 3), (6, 2), (8, 1)])
     def test_vector_split_matches_scalar(self, q, k, monkeypatch):
@@ -475,7 +501,8 @@ class TestArrayKernel:
         # random code fields with blocks of widths 1, 2 and wide ones, each
         # gap split at its leftmost least entry: every level matches a
         # recursive per-gap Cartesian tree of the decrement oracle's
-        # arrival times
+        # arrival times, and so does ffiid's split at the least place in
+        # _arrival's order
         from mallows_coloring.sampler import _splits
         empty = np.zeros(0, dtype=np.int64)
         levels = list(_splits(empty, empty, None))
@@ -489,8 +516,23 @@ class TestArrayKernel:
                           for off in range(g)] + [0]
             levels, _ = _leftmost_least_levels(field)
             assert levels == _decrement_tree_levels(field)
+            assert _leftmost_least_levels(field, _arrival_first)[0] == levels
             sites = [v for level in levels for v, _, _ in level]
             assert sorted(sites) == np.flatnonzero(field).tolist()
+
+    def test_splits_refuse_a_site_outside_its_gap(self):
+        # a first(lo, hi) naming a site outside its gap never shrinks the
+        # gap, so the walk would run without end; it must raise before it
+        # has yielded more levels than the gaps span sites
+        from mallows_coloring.sampler import _splits
+        lo, hi = np.array([0, 6, 40]), np.array([6, 30, 43])
+        for bad in (lambda lo, hi: lo, lambda lo, hi: hi,
+                    lambda lo, hi: lo - 1, lambda lo, hi: hi + 3):
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match="outside its gap"):
+                for level, _ in enumerate(_splits(lo, hi, bad)):
+                    assert level <= 43, "the walk ran on"
+            assert time.perf_counter() - start < 1.0
 
     def test_leftmost_least_entry_arrives_first(self):
         # the lemma lehmer and gamma_from_lehmer stand on: in every gap of
@@ -507,6 +549,7 @@ class TestArrayKernel:
         levels, dtype = _leftmost_least_levels(field)
         assert dtype == np.int32
         assert levels == _decrement_tree_levels(field)
+        assert _leftmost_least_levels(field, _arrival_first)[0] == levels
         rng = np.random.default_rng(20)
         field = [0]
         for _ in range(4000):
@@ -519,6 +562,7 @@ class TestArrayKernel:
         levels, dtype = _leftmost_least_levels(field)
         assert dtype == np.int64
         assert levels == _decrement_tree_levels(field)
+        assert _leftmost_least_levels(field, _arrival_first)[0] == levels
 
     def test_key_width_follows_the_largest_entry(self):
         # the keys pack each entry above b = n.bit_length() index bits: the

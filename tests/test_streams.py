@@ -1,7 +1,7 @@
 import numpy as np
 
 from mallows_coloring import sampler, streams
-from mallows_coloring.streams import (MASK64, mix, mix_keys, u01,
+from mallows_coloring.streams import (MASK64, mix, mix_keys, mix_next, u01,
                                       u01_array, u01_from_word,
                                       u01_from_words, u01_keys, u01_next)
 
@@ -64,6 +64,8 @@ def test_multiword_array_hash_matches_scalar():
         for i in range(40):
             assert chained[i] == u01(seed, int(small[i]), int(big[i]), 2**40)
         assert (u01_next(keys, 9) == u01_keys(seed, small, 9)).all()
+        assert (mix_next(keys, big, 12) == mix_keys(seed, small, big, 12)).all()
+        assert (keys == mix_keys(seed, small)).all()
         words = mix_keys(seed, big, 12)
         ranks = np.arange(40) + 2**33
         uw = u01_from_words(words, ranks)
