@@ -256,71 +256,66 @@ def _cmd_verify_exact(args, parser) -> int:
 # verify stat
 
 
-def _stat_shard(q: int, k: int, method: str, max_len: int, windows: int,
+#: Windows per `verify stat` chunk; the last chunk takes the remainder.
+_STAT_CHUNK = 1 << 18
+
+
+def _stat_chunk(q: int, k: int, max_len: int, method: str, windows: int,
                 seed: int) -> dict:
     stride = verify.independent_stride(max_len, k)
     # exactly `windows` windows of length max_len fit; one window still
     # leaves room for the gap-(k + 1) pair
     length = max((windows - 1) * stride + max_len, k + 2)
     sample = _PIPELINES[method](q, k, length, seed)
-    tables = verify.estimate_cylinders(sample, max_len)
-    pairs = {}
-    for gap in (k, k + 1):
-        joint, n = verify.pair_counts(sample, gap)
-        pairs[gap] = (joint, n)
-    return {"tables": tables, "pairs": pairs}
+    return {"tables": verify.estimate_cylinders(sample, max_len),
+            "pairs": {gap: verify.pair_counts(sample, gap)
+                      for gap in (k, k + 1)}}
 
 
-def _merge_shards(shards: list[dict], k: int) -> dict:
-    tables = shards[0]["tables"]
-    for extra in shards[1:]:
-        tables = {m: tables[m].merge(extra["tables"][m]) for m in tables}
-    pairs = {}
-    for gap in (k, k + 1):
-        joint = sum(s["pairs"][gap][0] for s in shards)
-        n = sum(s["pairs"][gap][1] for s in shards)
-        pairs[gap] = (joint, n)
-    return {"tables": tables, "pairs": pairs}
+def _merge_chunks(a: dict, b: dict) -> dict:
+    return {"tables": {m: t.merge(b["tables"][m])
+                       for m, t in a["tables"].items()},
+            "pairs": {gap: (joint + b["pairs"][gap][0], n + b["pairs"][gap][1])
+                      for gap, (joint, n) in a["pairs"].items()}}
 
 
 def _cmd_verify_stat(args, parser) -> int:
+    """Chunk c of --windows draws from seed + 7919*c, so the report depends
+    on the request alone; more than one chunk runs on a process pool of at
+    most os.cpu_count() workers."""
     _require_sampleable(parser, args.q, args.k)
-    if args.threads > args.windows:
-        parser.error(f"argument --threads: {args.threads} shards for "
-                     f"{args.windows} windows; at most --windows allowed")
     q, k = args.q, args.k
     methods = list(_PIPELINES) if args.method == "all" else [args.method]
     root = tpoly.solve_tuning(q, k)
+    exact = {m: building.cylinder_masses(q, m, root)
+             for m in range(1, args.maxlen + 1)}
+    full, rest = divmod(args.windows, _STAT_CHUNK)
+    windows = [_STAT_CHUNK] * full + [rest] * (rest > 0)
+    seeds = [args.seed + 7919 * c for c in range(len(windows))]
+    jobs = [(method, w, s) for method in methods for w, s in zip(windows, seeds)]
+    chunk = functools.partial(_stat_chunk, q, k, args.maxlen)
+    if len(windows) > 1:
+        workers = min(len(windows), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            counts = list(pool.map(chunk, *zip(*jobs)))
+    else:
+        counts = [chunk(*job) for job in jobs]
     reports = []
-    all_pass = True
-    for method in methods:
-        # the first windows % threads shards take one window more
-        per_shard, extra = divmod(args.windows, args.threads)
-        windows = [per_shard + (s < extra) for s in range(args.threads)]
-        shard = functools.partial(_stat_shard, q, k, method, args.maxlen)
-        seeds = [args.seed + 7919 * s for s in range(args.threads)]
-        if args.threads > 1:
-            workers = min(args.threads, os.cpu_count() or 1)
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                shards = list(pool.map(shard, windows, seeds))
-        else:
-            shards = list(map(shard, windows, seeds))
-        merged = _merge_shards(shards, k)
-        for m in range(1, args.maxlen + 1):
-            exact = building.cylinder_masses(q, m, root)
-            rep = verify.chi_square_against_exact(
-                merged["tables"][m], exact,
-                name=f"{method} length-{m} vs exact")
-            reports.append(rep)
-            all_pass = all_pass and rep.passed
+    for i, method in enumerate(methods):
+        merged = functools.reduce(
+            _merge_chunks, counts[i * len(windows):(i + 1) * len(windows)])
+        for m in exact:
+            reports.append(verify.chi_square_against_exact(
+                merged["tables"][m], exact[m],
+                name=f"{method} length-{m} vs exact"))
         for gap, expect in ((k + 1, False), (k, True)):
             joint, n = merged["pairs"][gap]
-            rep = verify.independence_report(joint, n, gap, expect, method)
-            reports.append(rep)
-            all_pass = all_pass and rep.passed
+            reports.append(
+                verify.independence_report(joint, n, gap, expect, method))
+    all_pass = all(r.passed for r in reports)
     results = {"reports": [r.to_dict() for r in reports], "all_pass": all_pass}
     params = {"q": q, "k": k, "method": args.method, "windows": args.windows,
-              "maxlen": args.maxlen, "threads": args.threads}
+              "maxlen": args.maxlen}
     _emit_json(_envelope("verify-stat", params, args.seed, results), args.out)
     return 0 if all_pass else 1
 
@@ -405,12 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps, seed=True)
     ps.add_argument("--method", choices=["all"] + sorted(_PIPELINES),
                     default="all")
-    ps.add_argument("--windows", type=_positive_int, default=200_000)
+    ps.add_argument("--windows", type=_positive_int, default=200_000,
+                    help="windows per method, drawn in chunks of 2^18; "
+                         "chunk c draws from seed + 7919*c")
     ps.add_argument("--maxlen", type=int, choices=range(1, 5), default=3)
-    ps.add_argument("--threads", type=_positive_int, default=1,
-                    help="shards, at most --windows; at most "
-                         "os.cpu_count() run at once; shard s draws from "
-                         "seed + 7919*s, so the report depends on --threads")
     ps.set_defaults(fn=_cmd_verify_stat)
 
     p = sub.add_parser("radius", help="coding-radius diagnostics (ffiid)")

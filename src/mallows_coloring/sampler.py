@@ -58,8 +58,12 @@ import math
 
 import numpy as np
 
-# decrement_cycle_values, mix and u01_from_word are the scalar forms of what
-# _arrival and the ffiid draws compute; they stay importable from here.
+# perfbench/tracer.py times u01, mix, u01_from_word, u01_array and
+# decrement_cycle_values by patching them on this module, and
+# tests/test_trace_hooks.py requires its streams.u01 and streams.u01_array
+# wrappers to be called.  No pipeline calls mix, u01_from_word or
+# decrement_cycle_values: they are imported for the tracer alone, and can go
+# once it wraps what the pipelines call (ROADMAP item 10).
 from .perm import ConstraintGraph, decrement_cycle_values  # noqa: F401
 from .streams import (mix, mix_keys, mix_next, u01, u01_array,  # noqa: F401
                       u01_from_word, u01_from_words, u01_keys, u01_next)

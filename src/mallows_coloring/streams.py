@@ -111,7 +111,8 @@ def u01_next(keys: np.ndarray, *words) -> np.ndarray:
     # mix_next's loop, inlined: the extra call showed on short windows
     for w in words:
         keys = _finalize_array(keys ^ _spread(w))
-    return _u01_bits(keys)
+    # _u01_bits consumes its argument, which is the caller's with no words
+    return _u01_bits(keys if words else keys.copy())
 
 
 def u01_keys(seed: int, first: np.ndarray, *words) -> np.ndarray:

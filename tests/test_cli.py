@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import os
@@ -260,31 +261,89 @@ class TestVerifyStat:
         assert payload["results"]["all_pass"]
         assert len(payload["results"]["reports"]) == 5
 
-    def test_sharded_run_matches_merge_counts(self, capsys):
-        # 3 does not divide 20000: the first shard takes the spare windows,
-        # and every shard counts exactly its share.
-        for threads in (2, 3):
-            code, payload = run_json(capsys, "verify", "stat", "--q", "5",
-                                     "--k", "1", "--method", "lehmer",
-                                     "--windows", "20000", "--seed", "5",
-                                     "--threads", str(threads))
-            assert code == 0
-            for rep in payload["results"]["reports"][:3]:  # lengths 1-3
-                assert rep["sample_size"] == 20000
+
+class SerialPool:
+    """A stand-in for concurrent.futures.ProcessPoolExecutor that runs every
+    task in process; `pools` records each pool's worker count and `tasks`
+    the (method, windows, seed) of each task."""
+    pools: list[int] = []
+    tasks: list[tuple] = []
+
+    def __init__(self, max_workers):
+        self.pools.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        items = list(zip(*iterables))
+        self.tasks.extend(items)
+        return itertools.starmap(fn, items)
+
+
+class TestStatChunks:
+    # 7000-window chunks keep the runs small
+    STAT = ("verify", "stat", "--q", "5", "--k", "1", "--seed", "5")
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_STAT_CHUNK", 7000)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(SerialPool, "pools", [])
+        monkeypatch.setattr(SerialPool, "tasks", [])
+
+    def test_chunks_count_exactly_the_windows(self, capsys):
+        # two full chunks and a remainder chunk of 1000
+        code, payload = run_json(capsys, *self.STAT, "--method", "lehmer",
+                                 "--windows", "15000")
+        assert code == 0
+        assert SerialPool.tasks == [("lehmer", 7000, 5),
+                                    ("lehmer", 7000, 5 + 7919),
+                                    ("lehmer", 1000, 5 + 2 * 7919)]
+        assert "threads" not in payload["params"]
+        for rep in payload["results"]["reports"][:3]:  # lengths 1-3
+            assert rep["sample_size"] == 15000
+
+    def test_report_does_not_depend_on_cpu_count(self, capsys, monkeypatch):
+        outs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            outs.append(run(capsys, *self.STAT, "--method", "lehmer",
+                            "--windows", "15000"))
+        assert outs[0] == outs[1]
+        # three chunks, so min(3, cpu_count) workers
+        assert SerialPool.pools == [1, 3]
+
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
+        # four chunks of every method run on one pool of two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, payload = run_json(capsys, *self.STAT, "--windows", "28000")
+        assert SerialPool.pools == [2]
+        assert [(m, w) for m, w, _ in SerialPool.tasks] == [
+            (m, 7000) for m in cli._PIPELINES for _ in range(4)]
+        assert len(payload["results"]["reports"]) == 15
+
+    def test_one_chunk_starts_no_pool(self, capsys):
+        code, payload = run_json(capsys, *self.STAT, "--method", "lehmer",
+                                 "--windows", "7000")
+        assert code == 0
+        assert SerialPool.pools == []
+        for rep in payload["results"]["reports"][:3]:
+            assert rep["sample_size"] == 7000
 
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["verify", "stat", "--q", "5", "--k", "1", "--threads", "0"],
-        ["verify", "stat", "--q", "5", "--k", "1", "--threads", "-3"],
         ["verify", "stat", "--q", "5", "--k", "1", "--maxlen", "5"],
         ["sample", "--q", "5", "--k", "1", "--length", "0"],
         ["radius", "--q", "5", "--k", "1", "--length", "0"],
         ["solve-tuning", "--q", "5", "--k", "1", "--precision", "abc"],
         ["exact", "--q", "5", "--k", "1", "--word", "12", "--precision", "0"],
         ["verify", "stat", "--q", "5", "--k", "1", "--windows", "0"],
-        ["verify", "stat", "--q", "5", "--k", "1", "--windows", "10",
-         "--threads", "2000"],
     ])
     def test_exit_two_without_traceback(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -358,41 +417,6 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             "error: not enough memory for this request: "
             "Unable to allocate 7.28 TiB for an array\n")
-
-    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
-        # more shards than CPUs: every shard runs, on at most cpu_count
-        # worker processes
-        import concurrent.futures
-        import os
-        workers, shards = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                items = list(zip(*iterables))
-                shards.extend(items)
-                return itertools.starmap(fn, items)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
-        code, payload = run_json(capsys, "verify", "stat", "--q", "5",
-                                 "--k", "1", "--method", "lehmer",
-                                 "--windows", "5000", "--seed", "5",
-                                 "--threads", "5")
-        assert code in (0, 1)
-        assert workers == [2]
-        assert len(shards) == 5
-        assert [windows for windows, _ in shards] == [1000] * 5
-        assert payload["params"]["threads"] == 5
 
 
 class TestRadius:

@@ -98,3 +98,10 @@ def test_all_ones_hash_stays_below_one(monkeypatch):
         first, second, _ = sampler._color_pairs(x, q)
         assert (int(first[0]), int(second[0])) == (q, q - 1)
 
+
+
+def test_u01_next_without_words_leaves_keys_alone():
+    keys = mix_keys(1, np.arange(4))
+    keep = keys.copy()
+    assert (u01_next(keys) == u01_keys(1, np.arange(4))).all()
+    assert (keys == keep).all()
