@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import building, dist, perm, tpoly
+from . import building, dist, perm, streams, tpoly
 from .words import Word, color_pattern, word_tuples
 
 #: (k, q) pairs of the k-dependence and closed-form checks.
@@ -202,12 +202,14 @@ def coloring_counts(level):
         g = perm.constraint_graph(sigma)
         cases += [(sigma.image, g, q) for q in (3, 4, 5)]
     if level == "full":
-        rng = np.random.default_rng(424242)
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            sigma = perm.Perm.from_one_line(rng.permutation(n) + 1)
-            cases.append((sigma.image, perm.constraint_graph(sigma),
-                          int(rng.choice([3, 4, 5]))))
+        # case i: w = mix(424242, i) sets n = 1..8 and q = 3, 4 or 5, and
+        # the permutation sorts the keys mix(w, j) of j = 0..n-1
+        for i in range(200):
+            w = streams.mix(424242, i)
+            n, q = w % 8 + 1, (w >> 32) % 3 + 3
+            keys = streams.mix_keys(w, np.arange(n))
+            sigma = perm.Perm.from_one_line(keys.argsort() + 1)
+            cases.append((sigma.image, perm.constraint_graph(sigma), q))
     brute = perm.color_counts_brute((g, q) for _, g, q in cases)
     for (image, g, q), count in zip(cases, brute, strict=True):
         yield perm.color_count(g, q) == count, (q, image)

@@ -47,7 +47,9 @@ one.  These keys are part of the stable seed interface:
     the site's place in the block's arrival order, which `_arrival`
     computes for every block at once (the endpoints have ranks 0 and 1).
     The words are taken from the zeros' site keys, mix(seed, a), with one
-    more finalize each (`mix_next`).
+    more finalize each (`mix_next`).  The ordered color pair of a zero
+    site is entry r = floor(u01(seed, site, S_FFIID_Z) * (q (q - 1))) of
+    `_pair_tables`, one rounding for the lookback and the forward pass.
 """
 
 from __future__ import annotations
@@ -676,7 +678,7 @@ def _pair_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _color_pairs(x: np.ndarray, q: int):
-    """Ordered pairs (first, second) of distinct colors from x = u q (q-1)
+    """Ordered pairs (first, second) of distinct colors from x = u (q (q-1))
     for the zero sites' uniforms u, and whether each site's first escapes
     its predecessor's pair (the first site counts as escaping)."""
     r = x.astype(np.intp)
@@ -719,20 +721,24 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     colors[order] = _picks(u01_from_words(words, rank), q)
     del order, words, rank
 
-    # Walk left through the zero set from the window's left anchor to the
-    # nearest zero site whose first candidate color escapes its
-    # predecessor's pair; the forward pass from that site is exact.  The
-    # sites _field hashed usually hold it; else the zero mask grows leftward
-    # from _field's left end, as _field grows a side.
-    # The walk tests pairs from (u q)(q - 1), as the scalar walk did; the
-    # forward pass takes them from u (q (q - 1)), as it always has.
+    # Pairs and escapes of every zero site from _field's left end.  The
+    # window's left anchor zs[j0] needs an escape at or before it other
+    # than zero 0, which escapes by fiat; the forward pass from that
+    # escape is exact.  The sites _field hashed usually hold it; else the
+    # zero mask grows leftward from _field's left end, as _field grows a
+    # side.
     zs = hit.nonzero()[0]
     zs += lo
     u = u01_array(seed, zs, S_FFIID_Z)
     while True:
-        head = u[:len(zs) - len(zeros) + 1]
-        resolving = _color_pairs(head * q * (q - 1), q)[2][1:].nonzero()[0]
-        if len(resolving):
+        j0 = len(zs) - len(zeros)
+        z1, z2, escape = _color_pairs(u * (q * (q - 1)), q)
+        # esc_idx[j]: the last escape at or before zero j, a running
+        # maximum over the escapes' indices.
+        esc_idx = np.arange(len(zs))
+        esc_idx *= escape
+        np.maximum.accumulate(esc_idx, out=esc_idx)
+        if esc_idx[j0] >= 1:
             break
         n = _grow(-lo)
         more = lo - n + _hash(seed, S_FFIID_ZERO, _zero_field_params(q, tv),
@@ -740,17 +746,7 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
         zs = np.concatenate((more, zs))
         u = np.concatenate((u01_array(seed, more, S_FFIID_Z), u))
         lo -= n
-    cut = resolving[-1] + 1
-    zs = zs[cut:]
-    u = u[cut:]
-    u *= q * (q - 1)
-    z1, z2, escape = _color_pairs(u, q)
     del u
-    # esc_idx[j]: the last escape at or before zero j (zero 0 escapes), a
-    # running maximum over the escapes' indices.
-    esc_idx = np.arange(len(zs))
-    esc_idx *= escape
-    np.maximum.accumulate(esc_idx, out=esc_idx)
     # Forward pass, all zero sites at once: each takes its first candidate
     # unless that is its predecessor's color.  An escape takes its first;
     # after it, the choice flips at each site whose first candidate is its
@@ -762,7 +758,6 @@ def ffiid_detail(q: int, k: int, length: int, seed: int,
     flip ^= flip[esc_idx]
     # zs[j0:] are the zero sites left, ..., right; zs[i0:i1] those inside
     # the window
-    j0 = len(zs) - len(zeros)
     i0, i1 = j0 + (left < 0), len(zs) - (int(zs[-1]) >= length)
     colors[zeros] = np.where(flip[j0:], z2[j0:], z1[j0:])
     del z1, z2, flip, escape

@@ -251,6 +251,19 @@ class TestVerifyExact:
         assert certify.k_dependence("quick").cases == 177
         assert certify.coloring_counts("quick").cases == 361
 
+    def test_drawn_permutations_are_pinned(self):
+        # the full level's 200 drawn (q, one-line image) cases come from
+        # the splitting rule on seed 424242, so no numpy version moves them
+        cases = [case for _, case in
+                 certify.coloring_counts.__wrapped__("full")]
+        drawn = cases[1 + 120 * 3:]
+        assert len(drawn) == 200
+        assert drawn[:5] == [(4, (2, 4, 3, 1)), (4, (1, 2)),
+                             (5, (4, 3, 2, 5, 6, 1)), (3, (3, 2, 4, 1)),
+                             (3, (2, 1, 3, 4))]
+        assert {len(image) for _, image in drawn} == set(range(1, 9))
+        assert {q for q, _ in drawn} == {3, 4, 5}
+
 
 class TestVerifyStat:
     def test_small_stat_run_passes(self, capsys):

@@ -623,7 +623,7 @@ class TestArrayKernel:
             fn(*args, t=t)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("q,t", [(5, 0.97), (3, 0.99)])
+    @pytest.mark.parametrize("q,t", [(5, 0.97), (3, 0.99), (6, 0.97)])
     def test_lookback_matches_scalar_walk(self, q, t):
         # the zero-site walk of the finitary factor, one site at a time:
         # hops back to the first zero whose first candidate escapes its
@@ -633,7 +633,7 @@ class TestArrayKernel:
         p_zero = sampler._zero_field_params(q, t)
 
         def pair(seed, site):
-            r = int(u01(seed, site, sampler.S_FFIID_Z) * q * (q - 1))
+            r = int(u01(seed, site, sampler.S_FFIID_Z) * (q * (q - 1)))
             first, second = r // (q - 1) + 1, r % (q - 1) + 1
             return first, second + (second >= first)
 
@@ -779,8 +779,8 @@ class TestFfiidInternals:
             assert abs(emp - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     @pytest.mark.parametrize("q,k,t", [(5, 1, None), (4, 2, None),
-                                       (3, 3, None), (5, 1, 0.97),
-                                       (5, 1, 0.995)])
+                                       (3, 3, None), (6, 1, None),
+                                       (5, 1, 0.97), (5, 1, 0.995)])
     def test_radii_match_scalar_reference(self, q, k, t):
         # one site at a time: a the last zero at or before site i, b the
         # next zero after it, R the reset site of a (walking back through
@@ -798,7 +798,7 @@ class TestFfiidInternals:
                 return u01(seed, site, sampler.S_FFIID_ZERO) < p_zero
 
             def pair(site):
-                r = int(u01(seed, site, sampler.S_FFIID_Z) * q * (q - 1))
+                r = int(u01(seed, site, sampler.S_FFIID_Z) * (q * (q - 1)))
                 first, second = r // (q - 1) + 1, r % (q - 1) + 1
                 return first, second + (second >= first)
 
@@ -826,6 +826,75 @@ class TestFfiidInternals:
                 ends["last"] += zero(length - 1)
         if t is None:
             assert ends["first"] and ends["last"]
+
+    def test_lookback_and_forward_pass_share_one_pair_rule(self, monkeypatch):
+        # at q = 6, u = 0.7 gives the pair (5, 2) from u (q (q - 1)) = 21.0
+        # but (5, 1) from (u q)(q - 1) = 20.999...  With it on the zero
+        # before the window's left anchor and u = 0.2, pair (2, 3), on the
+        # anchor, the anchor does not escape: the zero colors, hops and
+        # radii follow the scalar walk back past it
+        from mallows_coloring import sampler
+        from mallows_coloring.streams import u01
+        q, k, length = 6, 1, 12
+        assert int(0.7 * q * (q - 1)) != int(0.7 * (q * (q - 1)))
+        p_zero = sampler._zero_field_params(q, tuned_parameters(q, k)[0])
+        real = sampler.u01_array
+        for seed in range(20):
+            @functools.lru_cache(maxsize=None)
+            def zero(site):
+                return u01(seed, site, sampler.S_FFIID_ZERO) < p_zero
+
+            def step(site, by):
+                site += by
+                while not zero(site):
+                    site += by
+                return site
+            anchor = 0 if zero(0) else step(0, -1)
+            fixed = {anchor: 0.2, step(anchor, -1): 0.7}
+
+            def pair(site):
+                u = fixed.get(site, u01(seed, site, sampler.S_FFIID_Z))
+                r = int(u * (q * (q - 1)))
+                first, second = r // (q - 1) + 1, r % (q - 1) + 1
+                return first, second + (second >= first)
+
+            def walk(a):
+                # (reset site, hops) of zero a
+                n = 0
+                while pair(a)[0] in pair(step(a, -1)):
+                    a, n = step(a, -1), n + 1
+                return a, n
+
+            def color(a):
+                site = walk(a)[0]
+                c = pair(site)[0]
+                while site < a:
+                    site = step(site, 1)
+                    first, second = pair(site)
+                    c = second if first == c else first
+                return c
+
+            def patched(s, words, stream):
+                u = real(s, words, stream)
+                for site, v in fixed.items():
+                    u[words == site] = v
+                return u
+            monkeypatch.setattr(sampler, "u01_array", patched)
+            try:
+                sample, extras = ffiid_detail(q, k, length, seed)
+            finally:
+                monkeypatch.undo()
+            assert walk(anchor)[0] < anchor
+            zs = extras["zeros"].tolist()
+            assert extras["hops"].tolist() == [walk(a)[1] for a in zs]
+            assert sample.colors[zs].tolist() == [color(a) for a in zs]
+            want = []
+            for i in range(length):
+                if zero(i):
+                    want.append(i - walk(i)[0])
+                else:
+                    want.append(max(i - walk(step(i, -1))[0], step(i, 1) - i))
+            assert sample.radii.tolist() == want, seed
 
     @pytest.mark.parametrize("q", [3, 4, 5, 255])
     def test_pair_tables_match_scalar_rule(self, q):
@@ -884,10 +953,10 @@ class TestFfiidInternals:
 class TestMemory:
     @pytest.mark.parametrize("fn,bound", [(painting_sample, 32),
                                           (lehmer_pipeline_sample, 48),
-                                          (ffiid_sample, 80)])
+                                          (ffiid_sample, 57)])
     def test_peak_bytes_per_site(self, fn, bound):
         # the tracemalloc peak per returned site at (3,3) and 20,000 sites,
-        # as the benchmark's memory pass measures it (about 29, 43 and 59;
+        # as the benchmark's memory pass measures it (about 29, 37 and 54;
         # ffiid read 116 while its lookback and radii built site-length
         # int64 arrays)
         length = 20_000

@@ -94,7 +94,7 @@ def test_all_ones_hash_stays_below_one(monkeypatch):
     assert streams.u01_from_word(1, 2) == below
     for q in (3, 5, 255):
         assert sampler._picks(np.array([below]), q)[0] == q - 2
-        x = np.array([below * q * (q - 1)])
+        x = np.array([below * (q * (q - 1))])
         first, second, _ = sampler._color_pairs(x, q)
         assert (int(first[0]), int(second[0])) == (q, q - 1)
 
